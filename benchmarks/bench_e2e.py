@@ -2,24 +2,17 @@
 
 Runs the same measurement ``repro bench`` records into
 ``BENCH_throughput.json``: bit-pack kernel latencies, XNOR GEMM at
-Table I layer shapes, per-stage wall time and end-to-end FPS for each
-prototype — plus a packed-vs-boolean datapath comparison that prints the
-speedup the pack-once fast path buys.
+Table I layer shapes, per-stage wall time and end-to-end FPS of the
+default engine for each prototype.
 
 Marked ``perf`` so tier-1 never pays for wall-clock measurement; run
 with ``pytest benchmarks/bench_e2e.py -m perf`` (or just use the CLI:
 ``PYTHONPATH=src python -m repro.cli bench``).
 """
 
-import time
-
-import numpy as np
 import pytest
 
 from repro.benchmarking import BENCH_ARCHS, render_run, run_bench
-from repro.core.architectures import build_architecture, table1_folding
-from repro.hw.compiler import compile_model
-from repro.testing import randomize_bn_stats
 
 pytestmark = pytest.mark.perf
 
@@ -32,30 +25,3 @@ def test_e2e_throughput(capsys):
         print(render_run(run))
     for arch in BENCH_ARCHS:
         assert run["e2e"][arch]["fps"] > 0
-
-
-def test_packed_vs_bool_datapath(capsys):
-    """The pack-once fast path against the boolean reference, CNV."""
-    model = build_architecture("cnv", rng=0)
-    randomize_bn_stats(model)
-    model.eval()
-    acc = compile_model(model, table1_folding("cnv"))
-    images = np.random.default_rng(0).random((16, 32, 32, 3)).astype(np.float32)
-
-    def timed(**kwargs):
-        best = float("inf")
-        for _ in range(2):
-            t0 = time.perf_counter()
-            logits = acc.execute(images, **kwargs)
-            best = min(best, time.perf_counter() - t0)
-        return logits, best
-
-    packed_logits, packed_s = timed(use_packed=True)
-    bool_logits, bool_s = timed(use_packed=False)
-    np.testing.assert_array_equal(packed_logits, bool_logits)
-    with capsys.disabled():
-        print()
-        print(
-            f"cnv 16-image batch: packed {16 / packed_s:.1f} FPS vs "
-            f"bool {16 / bool_s:.1f} FPS (x{bool_s / packed_s:.2f})"
-        )

@@ -154,13 +154,24 @@ def _bench_gemm(
 def _bench_accelerator(
     accelerator: FinnAccelerator, images: np.ndarray, repeats: int
 ) -> Tuple[List[Dict], Dict]:
-    """(per-stage timings, end-to-end summary) for one compiled design."""
+    """(per-stage timings, end-to-end summary) for one compiled design,
+    both on the default engine. Stage times come from the ``hw.<stage>``
+    spans of one traced call collected in an in-memory journal."""
+    from repro.telemetry import SpanJournal, Tracer, activate, deactivate
+
     n = images.shape[0]
-    e2e_s = _best_seconds(lambda: accelerator.execute(images), repeats)
-    stage_seconds: List[Tuple[str, float]] = []
-    accelerator.execute(images, stage_seconds=stage_seconds)
+    e2e_s = _best_seconds(lambda: accelerator.run(images), repeats)
+    journal = SpanJournal()
+    activate(Tracer(journal=journal))
+    try:
+        accelerator.run(images)
+    finally:
+        deactivate()
     stages = [
-        {"name": name, "seconds": seconds} for name, seconds in stage_seconds
+        {"name": span["name"][len("hw."):],
+         "seconds": span["end_s"] - span["start_s"]}
+        for span in journal.snapshot()
+        if span["kind"] == "hw_stage"
     ]
     e2e = {"images": n, "seconds": e2e_s, "fps": n / e2e_s}
     return stages, e2e
@@ -259,7 +270,8 @@ def _bench_telemetry(
     repeats: int,
     sample_every: int,
 ) -> Dict:
-    """Datapath throughput under each tracing mode: off / sampled / full.
+    """Default-engine throughput under each tracing mode: off / sampled /
+    full.
 
     ``baseline`` and ``off`` are both measured with no tracer active —
     their gap is pure run-to-run noise, which is exactly the claim being
@@ -274,8 +286,8 @@ def _bench_telemetry(
     # is pure noise at the 2-5% resolution this section pins down.
     repeats = max(repeats, 10)
     deactivate()  # make sure no ambient tracer leaks into the baseline
-    baseline_s = _best_seconds(lambda: accelerator.execute(images), repeats)
-    off_s = _best_seconds(lambda: accelerator.execute(images), repeats)
+    baseline_s = _best_seconds(lambda: accelerator.run(images), repeats)
+    off_s = _best_seconds(lambda: accelerator.run(images), repeats)
     result: Dict = {
         "arch": accelerator.name,
         "images": n,
@@ -290,7 +302,7 @@ def _bench_telemetry(
         journal = SpanJournal()
         activate(Tracer(sample_every=every, journal=journal))
         try:
-            mode_s = _best_seconds(lambda: accelerator.execute(images), repeats)
+            mode_s = _best_seconds(lambda: accelerator.run(images), repeats)
         finally:
             deactivate()
         result[key] = {

@@ -113,11 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--pool-workers", type=int, default=None,
                        help="process-pool worker count (default: one per "
                             "physical core, capped at 4)")
-        p.add_argument("--lowering", default="auto",
-                       choices=("auto", "blas", "packed"),
-                       help="plan lowering for the accelerator/process "
-                            "backends (default: auto picks the exact-f32 "
-                            "BLAS lowering where the geometry allows)")
         p.add_argument("--max-wait-ms", type=float, default=5.0)
         p.add_argument("--queue-capacity", type=int, default=256)
         p.add_argument("--workers", type=int, default=2)
@@ -370,17 +365,11 @@ def _build_server(args):
         ),
         bucket_sizes=tuple(args.buckets) if args.buckets else None,
     )
-    lowering = getattr(args, "lowering", "auto")
     backends = []
     if args.backend in ("software", "both"):
         backends.append(ClassifierBackend(clf))
     if args.backend in ("accelerator", "both"):
-        backends.append(
-            AcceleratorBackend(
-                clf.deploy(),
-                execution=ExecutionConfig(lowering=lowering),
-            )
-        )
+        backends.append(AcceleratorBackend(clf.deploy()))
     if args.backend == "process":
         backends.append(
             ProcessPoolBackend(
@@ -390,7 +379,6 @@ def _build_server(args):
                 execution=ExecutionConfig(
                     isolation="process",
                     workers=args.pool_workers,
-                    lowering=lowering,
                     trace_sample=(
                         args.trace_sample
                         if (args.telemetry or args.trace_out is not None)
@@ -701,13 +689,11 @@ def _cmd_engines(args) -> int:
                 "engines": table,
                 "default_config": default.describe(),
                 "resolution": [
-                    "config.engine pins a registered engine by name",
                     "isolation='process' -> process",
-                    "workers > 1 -> threaded",
-                    "use_plan=False or packed_datapath=False -> interpreted",
-                    "unplannable model + lowering='auto' -> interpreted",
-                    "otherwise planned-blas / planned-packed per the "
-                    "resolved lowering",
+                    "use_plan=False -> interpreted",
+                    "unplannable model (incl. float32-exact bound) -> "
+                    "interpreted",
+                    "otherwise -> planned-blas",
                 ],
             },
             indent=2,
@@ -728,8 +714,8 @@ def _cmd_engines(args) -> int:
     for line in (header, *rows):
         print("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip())
     print()
-    print("resolution: engine > isolation='process' > workers>1 > "
-          "use_plan=False > lowering (auto picks BLAS when exact in f32)")
+    print("resolution: isolation='process' -> process; use_plan=False or "
+          "unplannable model -> interpreted; otherwise planned-blas")
     return 0
 
 

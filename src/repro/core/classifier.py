@@ -156,7 +156,7 @@ class BinaryCoP:
             early_stopping=stopper,
             verbose=verbose,
         )
-        # Any accelerator compiled for process-mode predict captured the
+        # Any accelerator compiled for predict(execution=...) captured the
         # pre-training weights; drop it so the next use recompiles.
         if self._accelerator is not None:
             self._accelerator.close_pool()
@@ -169,7 +169,6 @@ class BinaryCoP:
         images: np.ndarray,
         chunk_size: int = 256,
         num_workers: Optional[int] = None,
-        mode: Optional[str] = None,
         execution=None,
     ) -> np.ndarray:
         """Argmax class predictions (software float path).
@@ -187,23 +186,14 @@ class BinaryCoP:
         Table I accelerator is compiled (and cached) and the batch
         dispatched through the :mod:`repro.runtime` engine the config
         resolves to — predictions agree with the float path wherever the
-        quantised input does. ``mode="process"`` is the **deprecated**
-        spelling of ``execution=ExecutionConfig(isolation="process")``.
+        quantised input does. There ``num_workers`` sizes the process
+        pool, so it needs ``isolation="process"``.
         """
-        if mode is not None:
-            from repro.runtime import deprecated_kwargs_config
-
-            execution = deprecated_kwargs_config(
-                "BinaryCoP.predict", execution, mode=mode,
-            )
-            if execution.isolation != "process":
-                # Legacy mode="thread" named the default float path.
-                execution = None
         if execution is not None:
             if self._accelerator is None:
                 self._accelerator = self.deploy()
             return self._accelerator.predict(
-                images, num_workers=num_workers, execution=execution
+                images, execution=execution.merged(workers=num_workers)
             )
         if images.ndim == 3:
             images = images[None]

@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "PackedBits",
-    "PackedRowWriter",
     "pack_bits",
     "unpack_bits",
     "popcount",
@@ -138,95 +137,6 @@ def unpack_bits(packed: PackedBits, dtype=np.float32) -> np.ndarray:
     bits8 += bits8
     bits8 -= 1
     return bits8.view(np.int8).astype(dtype, copy=False)
-
-
-class PackedRowWriter:
-    """Allocation-free re-runnable pack of a fixed ``(m, nbits)`` bit matrix.
-
-    Binds once to a source bit matrix (``bool``/``uint8`` 0-or-1 values,
-    C-contiguous rows) and a destination ``uint64`` word matrix
-    ``(m, ceil(nbits/64))``, then :meth:`pack` re-encodes the current
-    source contents into the destination with zero heap allocations —
-    the steady-state form of :func:`pack_bits` the inference execution
-    plans (:mod:`repro.hw.plan`) run every batch.
-
-    Layout is identical to :func:`pack_bits` (little-endian bit order,
-    ``<u8`` word view): destination byte ``j`` holds logical bits
-    ``8j .. 8j+7``, built from eight shifted byte planes. Slack bytes
-    past ``nbits`` are zeroed at bind time and never rewritten, so the
-    :class:`PackedBits` zero-padding invariant holds after every pack.
-    """
-
-    def __init__(
-        self, bits: np.ndarray, out_words: np.ndarray, scratch=None
-    ) -> None:
-        if bits.ndim != 2:
-            raise ValueError(f"bits must be 2-D, got {bits.shape}")
-        if bits.dtype == bool:
-            bits = bits.view(np.uint8)
-        if bits.dtype != np.uint8:
-            raise TypeError(f"bits must be bool/uint8, got {bits.dtype}")
-        if not bits.flags.c_contiguous:
-            raise ValueError("bits must be C-contiguous")
-        m, nbits = bits.shape
-        n_words = (nbits + WORD_BITS - 1) // WORD_BITS
-        if out_words.dtype != np.uint64 or out_words.shape != (m, n_words):
-            raise ValueError(
-                f"out_words must be uint64 {(m, n_words)}, got "
-                f"{out_words.dtype} {out_words.shape}"
-            )
-        if not out_words.flags.c_contiguous:
-            raise ValueError("out_words must be C-contiguous")
-        if not np.little_endian:  # pragma: no cover - exotic hosts only
-            raise RuntimeError(
-                "PackedRowWriter's raw byte view requires a little-endian "
-                "host; use pack_bits instead"
-            )
-        self.nbits = nbits
-        self.words = out_words
-        nb_full = nbits // 8
-        rem = nbits - nb_full * 8
-        if scratch is None:
-            scratch = np.empty((m, max(nb_full, 1)), dtype=np.uint8)
-        if scratch.shape[0] != m or scratch.shape[1] < max(nb_full, 1) or (
-            scratch.dtype != np.uint8
-        ):
-            raise ValueError(
-                f"scratch must be uint8 ({m}, >={max(nb_full, 1)}), got "
-                f"{scratch.dtype} {scratch.shape}"
-            )
-        out_bytes = out_words.view(np.uint8)  # (m, n_words * 8), little-endian
-        out_bytes[:, nb_full + (1 if rem else 0):] = 0  # slack: zero once
-        self._dst = out_bytes[:, :nb_full]
-        self._planes = [
-            bits[:, :nb_full * 8].reshape(m, nb_full, 8)[:, :, i]
-            for i in range(8)
-        ] if nb_full else []
-        self._scratch = scratch[:, :nb_full] if nb_full else None
-        if rem:
-            self._tail_dst = out_bytes[:, nb_full]
-            self._tail_cols = [bits[:, nb_full * 8 + i] for i in range(rem)]
-            self._tail_scratch = scratch[:, 0]
-        else:
-            self._tail_dst = None
-            self._tail_cols = []
-            self._tail_scratch = None
-
-    def pack(self) -> np.ndarray:
-        """Re-encode the bound bits into the bound words; returns words."""
-        if self._planes:
-            np.copyto(self._dst, self._planes[0])
-            for i in range(1, 8):
-                np.left_shift(self._planes[i], i, out=self._scratch)
-                np.bitwise_or(self._dst, self._scratch, out=self._dst)
-        if self._tail_dst is not None:
-            np.copyto(self._tail_dst, self._tail_cols[0])
-            for i in range(1, len(self._tail_cols)):
-                np.left_shift(self._tail_cols[i], i, out=self._tail_scratch)
-                np.bitwise_or(
-                    self._tail_dst, self._tail_scratch, out=self._tail_dst
-                )
-        return self.words
 
 
 def popcount(words: np.ndarray) -> np.ndarray:

@@ -105,7 +105,7 @@ def render_arena_bill(plan) -> str:
     total = sum(plan.stage_arena_bytes.values())
     lines = [
         f"inference arena ({plan.accelerator.name}, "
-        f"batch {plan.batch_size}, {plan.lowering} lowering):"
+        f"batch {plan.batch_size}):"
     ]
     for stage, nbytes in plan.stage_arena_bytes.items():
         share = nbytes / total if total else 0.0

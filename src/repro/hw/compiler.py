@@ -19,14 +19,12 @@ everything downstream is 1-bit.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.hw.bitpack import WORD_BITS, PackedBits, pack_bits, unpack_bits
+from repro.hw.bitpack import pack_bits
 from repro.hw.maxpool_unit import MaxPoolUnit, MaxPoolUnitConfig
 from repro.hw.mvtu import MVTU, MVTUConfig
 from repro.hw.swu import SlidingWindowUnit, SWUConfig
@@ -51,6 +49,7 @@ __all__ = [
     "FinnAccelerator",
     "FoldingConfig",
     "MVTUGeometry",
+    "check_input_range",
     "compile_model",
     "folding_violations",
     "mvtu_geometry",
@@ -58,6 +57,21 @@ __all__ = [
 
 #: Pixel quantisation scale for the 8-bit input layer.
 INPUT_SCALE = 255
+
+
+def check_input_range(images: np.ndarray) -> None:
+    """Reject a non-empty batch with any pixel outside the input domain.
+
+    Integer pixels must lie in ``[0, INPUT_SCALE]``, float pixels in
+    ``[0, 1]``. The test is written as ``not (min >= lo and max <= hi)``
+    because every comparison with NaN is False: ``min < lo`` would let a
+    NaN pixel through and turn it into plausible-looking logits.
+    """
+    if np.issubdtype(images.dtype, np.integer):
+        if not (images.min() >= 0 and images.max() <= INPUT_SCALE):
+            raise ValueError(f"integer input must be in [0, {INPUT_SCALE}]")
+    elif not (images.min() >= -1e-6 and images.max() <= 1.0 + 1e-6):
+        raise ValueError("float input must be finite and in [0, 1]")
 
 
 class MVTUGeometry(NamedTuple):
@@ -210,8 +224,9 @@ class HardwareStage:
 class FinnAccelerator:
     """A compiled streaming accelerator.
 
-    ``execute`` runs the full integer datapath; timing and resource
-    queries delegate to :mod:`repro.hw.pipeline` and
+    ``run`` executes the full integer datapath on the engine an
+    :class:`~repro.runtime.ExecutionConfig` resolves to; timing and
+    resource queries delegate to :mod:`repro.hw.pipeline` and
     :mod:`repro.hw.resources`.
     """
 
@@ -229,24 +244,21 @@ class FinnAccelerator:
         self.input_shape = tuple(input_shape)
         self.num_classes = int(num_classes)
         self._plan_cache = None
-        self._process_pool = None
         self._engines = {}
 
     def __getstate__(self):
-        # Plan caches hold a lock and arena-bound buffers, process pools
-        # and engines hold live OS resources — all derived state, rebuilt
-        # lazily wherever the accelerator lands (a spawn-started pool
-        # worker, a deepcopy for fault injection).
+        # Plan caches hold a lock and arena-bound buffers, engines may
+        # hold a live process pool — all derived state, rebuilt lazily
+        # wherever the accelerator lands (a spawn-started pool worker, a
+        # deepcopy for fault injection).
         state = self.__dict__.copy()
         state["_plan_cache"] = None
-        state["_process_pool"] = None
         state["_engines"] = {}
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
         self._plan_cache = None
-        self._process_pool = None
         self._engines = {}
 
     @property
@@ -263,32 +275,8 @@ class FinnAccelerator:
             self._plan_cache = PlanCache(self)
         return self._plan_cache
 
-    def process_pool(self, num_workers=None, **kwargs):
-        """The accelerator's :class:`~repro.parallel.ProcessPool` (lazy).
-
-        Re-created when ``num_workers`` changes; closed via
-        :meth:`close_pool` (or left to the daemonic workers' exit with
-        the parent). Extra ``kwargs`` are only honoured at creation.
-        """
-        from repro.parallel import ProcessPool
-
-        pool = self._process_pool
-        if pool is not None and (
-            not pool.healthy()
-            or (num_workers is not None and pool.num_workers != num_workers)
-        ):
-            pool.close()
-            pool = self._process_pool = None
-        if pool is None:
-            pool = ProcessPool(self, num_workers=num_workers, **kwargs)
-            self._process_pool = pool
-        return pool
-
     def close_pool(self) -> None:
-        """Shut down the lazy process pool and any pooled engines."""
-        if self._process_pool is not None:
-            self._process_pool.close()
-            self._process_pool = None
+        """Shut down the cached engines (and the process pool, if any)."""
         for engine in list(self._engines.values()):
             close = getattr(engine, "close", None)
             if close is not None:
@@ -328,18 +316,16 @@ class FinnAccelerator:
         execution=None,
         *,
         return_bits: bool = False,
-        stage_seconds: Optional[list] = None,
     ):
         """Integer logits via the engine resolved for ``execution``.
 
         The first-class entry point of the runtime layer: ``execution``
         is an :class:`~repro.runtime.ExecutionConfig` (default: planned
-        single-process inference). ``execute``/``predict`` remain as
-        compatibility wrappers over this.
+        single-process inference; ``ExecutionConfig(use_plan=False)``
+        selects the interpreted reference). With ``return_bits`` also
+        returns the per-stage binary activation maps.
         """
-        return self.engine_for(execution).run(
-            images, return_bits=return_bits, stage_seconds=stage_seconds
-        )
+        return self.engine_for(execution).run(images, return_bits=return_bits)
 
     # -- functional ---------------------------------------------------------
     @staticmethod
@@ -350,89 +336,18 @@ class FinnAccelerator:
             # An empty batch has no range to validate (min/max would
             # raise); it quantises to an empty integer batch.
             return images.astype(np.int64)
+        check_input_range(images)
         if np.issubdtype(images.dtype, np.integer):
-            if images.min() < 0 or images.max() > INPUT_SCALE:
-                raise ValueError(
-                    f"integer input must be in [0, {INPUT_SCALE}]"
-                )
             return images.astype(np.int64)
-        if images.min() < -1e-6 or images.max() > 1.0 + 1e-6:
-            raise ValueError("float input must be in [0, 1]")
         return np.rint(images.astype(np.float64) * INPUT_SCALE).astype(np.int64)
 
-    def execute(
-        self,
-        images: np.ndarray,
-        return_bits: bool = False,
-        chunk_size: Optional[int] = None,
-        num_workers: Optional[int] = None,
-        use_packed: Optional[bool] = None,
-        stage_seconds: Optional[list] = None,
-        use_plan: Optional[bool] = None,
-        execution=None,
-    ):
-        """Run the integer datapath; returns integer logits ``(N, classes)``.
-
-        Compatibility wrapper over :meth:`run` — the kwargs map onto an
-        :class:`~repro.runtime.ExecutionConfig` and dispatch through the
-        :mod:`repro.runtime` registry. Defaults keep the historical
-        semantics: the interpreted reference datapath, optionally
-        chunked (``chunk_size`` bounds the SWU's ~K*K window memory) and
-        thread-parallel (``num_workers``; numpy releases the GIL in the
-        pack/XNOR/popcount kernels). ``use_packed=False`` forces the
-        boolean reference stages. With ``return_bits`` additionally
-        returns the per-stage binary activation maps; chunking is
-        incompatible with it (the traces would need re-stitching).
-
-        ``use_plan`` is **deprecated** — pass
-        ``execution=ExecutionConfig(...)`` (or call :meth:`run`) to pick
-        the planned engines instead.
-        """
-        from repro.runtime import ExecutionConfig, deprecated_kwargs_config
-
-        if num_workers is not None and num_workers <= 0:
-            raise ValueError(f"num_workers must be positive, got {num_workers}")
-        if chunk_size is not None and chunk_size <= 0:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        if use_plan is not None:
-            execution = deprecated_kwargs_config(
-                "FinnAccelerator.execute",
-                execution,
-                use_plan=use_plan,
-                chunk_size=chunk_size,
-                workers=num_workers,
-                packed_datapath=use_packed,
-            )
-        else:
-            execution = (
-                execution if execution is not None
-                else ExecutionConfig(use_plan=False)
-            ).merged(
-                chunk_size=chunk_size,
-                workers=num_workers,
-                packed_datapath=use_packed,
-            )
-        return self.run(
-            images,
-            execution,
-            return_bits=return_bits,
-            stage_seconds=stage_seconds,
-        )
-
-    def _run_interpreted(
-        self,
-        images: np.ndarray,
-        return_bits: bool = False,
-        use_packed: Optional[bool] = None,
-        stage_seconds: Optional[list] = None,
-    ):
+    def _run_interpreted(self, images: np.ndarray, return_bits: bool = False):
         """The stage-by-stage reference datapath, one unchunked batch.
 
         This is the golden semantics every engine is held to; only the
-        runtime engines call it. ``use_packed=False`` forces the boolean
-        reference stages; the default keeps activations bit-packed
-        wherever the geometry is word-aligned (``channels % 64 == 0``),
-        bit-exact either way.
+        runtime engines call it. Activations travel as boolean maps and
+        every binary MVTU packs its input rows and runs the
+        XNOR+popcount kernels, as the hardware does.
         """
         images = np.asarray(images)
         if images.ndim == 3:
@@ -465,78 +380,23 @@ class FinnAccelerator:
                 )
                 span_parent = own_span
             trace_stages = span_parent.recording
-        packed_enabled = use_packed is None or use_packed
-        current: Optional[np.ndarray] = self.quantize_input(images)
-        packed: Optional[PackedBits] = None
+        current = self.quantize_input(images)
         bits_trace = []
-        flat = False
         for stage in self.stages:
             stage_t0 = tracer.clock.monotonic() if trace_stages else 0.0
-            stage_start = time.perf_counter() if stage_seconds is not None else 0.0
-            cfg = stage.mvtu.config
             if stage.kind == "conv":
-                # Emit packed output when the out-channel count is
-                # word-aligned: pooling, the next SWU and the FC flatten
-                # all consume the packed form directly.
-                pack_out = packed_enabled and cfg.rows % WORD_BITS == 0
-                if cfg.input_bits == 8:
-                    out = stage.mvtu.execute(
-                        stage.swu.execute(current), pack_output=pack_out
-                    )
-                elif packed is not None:
-                    out = stage.mvtu.execute(
-                        stage.swu.execute_packed(packed), pack_output=pack_out
-                    )
-                else:
-                    rows = stage.swu.execute(current)
-                    out = stage.mvtu.execute(
-                        pack_bits(rows.astype(bool)), pack_output=pack_out
-                    )
+                rows = stage.swu.execute(current)
+                if stage.mvtu.config.input_bits == 1:
+                    rows = pack_bits(rows.astype(bool))
                 oh, ow = stage.swu.config.out_hw
-                if pack_out:
-                    fm = PackedBits(
-                        words=out.words.reshape(n, oh, ow, out.n_words),
-                        nbits=out.nbits,
-                    )
-                    if stage.pool is not None:
-                        fm = stage.pool.execute_packed(fm)
-                    packed, current = fm, None
-                else:
-                    fm = out.reshape(n, oh, ow, cfg.rows)
-                    if stage.pool is not None:
-                        fm = stage.pool.execute(fm)
-                    current, packed = fm, None
-            else:  # fc
-                if packed is not None:
-                    if packed.words.ndim > 2:
-                        # Flatten a channel-packed (n, h, w, cw) map:
-                        # channels are the fastest logical axis, so the
-                        # raveled words are the packed raveled bits.
-                        h, w = packed.words.shape[1:3]
-                        packed = PackedBits(
-                            words=packed.words.reshape(n, -1),
-                            nbits=h * w * packed.nbits,
-                        )
-                    vec = packed
-                else:
-                    if not flat:
-                        current = current.reshape(n, -1)
-                        flat = True
-                    vec = pack_bits(np.asarray(current).astype(bool))
-                pack_out = (
-                    packed_enabled
-                    and cfg.has_threshold
-                    and cfg.rows % WORD_BITS == 0
+                current = stage.mvtu.execute(rows).reshape(
+                    n, oh, ow, stage.mvtu.config.rows
                 )
-                out = stage.mvtu.execute(vec, pack_output=pack_out)
-                if pack_out:
-                    packed, current = out, None
-                else:
-                    current, packed = out, None
-                    flat = True
-            if stage_seconds is not None:
-                stage_seconds.append(
-                    (stage.name, time.perf_counter() - stage_start)
+                if stage.pool is not None:
+                    current = stage.pool.execute(current)
+            else:  # fc: flatten (a no-op after the first fc stage)
+                current = stage.mvtu.execute(
+                    pack_bits(current.reshape(n, -1).astype(bool))
                 )
             if trace_stages:
                 # The ``cycles`` attribute carries the stage's modelled
@@ -554,69 +414,35 @@ class FinnAccelerator:
                     },
                 )
             if return_bits:
-                # The trace is defined in the boolean domain regardless
-                # of which path produced it (equivalence tests diff the
-                # two paths stage by stage).
-                bits_trace.append(
-                    unpack_bits(packed, dtype=bool)
-                    if packed is not None
-                    else np.asarray(current)
-                )
+                bits_trace.append(current)
         if own_span is not None:
             own_span.finish()
-        if current is None:
+        if current.shape != (n, self.num_classes):
             raise RuntimeError(
-                "datapath ended in the packed domain — the final stage "
-                "must stream un-thresholded logits"
-            )
-        logits = np.asarray(current)
-        if logits.shape != (n, self.num_classes):
-            raise RuntimeError(
-                f"datapath produced {logits.shape}, expected "
+                f"datapath produced {current.shape}, expected "
                 f"{(n, self.num_classes)} — stage wiring is inconsistent"
             )
         if return_bits:
-            return logits, bits_trace
-        return logits
+            return current, bits_trace
+        return current
 
     def predict(
         self,
         images: np.ndarray,
         chunk_size: Optional[int] = None,
-        num_workers: Optional[int] = None,
-        use_plan: Optional[bool] = None,
-        mode: Optional[str] = None,
         execution=None,
     ) -> np.ndarray:
         """Argmax classification over the integer logits.
 
         ``execution`` picks the engine (default: planned single-process
-        inference); ``chunk_size`` bounds per-pass memory and
-        ``num_workers`` fans chunks thread-parallel — both are merged
+        inference); ``chunk_size`` bounds per-pass memory and is merged
         into the config. Every engine is bit-identical by contract.
-
-        ``use_plan``/``mode`` are **deprecated** shims: they emit one
-        :class:`DeprecationWarning` and forward to the equivalent
-        :class:`~repro.runtime.ExecutionConfig` (``mode="process"`` maps
-        to ``isolation="process"`` — the shared-memory pool engine).
         """
-        from repro.runtime import ExecutionConfig, deprecated_kwargs_config
+        from repro.runtime import ExecutionConfig
 
-        if num_workers is not None and num_workers <= 0:
-            raise ValueError(f"num_workers must be positive, got {num_workers}")
-        if use_plan is not None or mode is not None:
-            execution = deprecated_kwargs_config(
-                "FinnAccelerator.predict",
-                execution,
-                use_plan=use_plan,
-                mode=mode,
-                chunk_size=chunk_size,
-                workers=num_workers,
-            )
-        else:
-            execution = (
-                execution if execution is not None else ExecutionConfig()
-            ).merged(chunk_size=chunk_size, workers=num_workers)
+        execution = (
+            execution if execution is not None else ExecutionConfig()
+        ).merged(chunk_size=chunk_size)
         return self.run(images, execution).argmax(axis=1)
 
     # -- reporting -----------------------------------------------------------

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.hw.bitpack import pack_bits, unpack_bits
+from repro.hw.bitpack import unpack_bits
 from repro.hw.compiler import FinnAccelerator
 from repro.hw.mvtu import MVTU
 from repro.hw.thresholding import ThresholdSpec
@@ -86,11 +86,7 @@ def _stage_weight_arrays(accelerator: FinnAccelerator):
 
 def _write_stage_weights(stage, w: np.ndarray) -> None:
     """Write a bipolar weight matrix back into a stage's MVTU."""
-    mvtu = stage.mvtu
-    if mvtu.config.input_bits == 1:
-        mvtu._packed_weights = pack_bits(w.astype(np.int8))
-    else:
-        mvtu._int_weights = w.astype(np.int32)
+    stage.mvtu.set_weights(w.astype(np.int8))
 
 
 def flip_weight_bits(

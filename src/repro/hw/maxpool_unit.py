@@ -14,7 +14,6 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.hw.bitpack import PackedBits
 from repro.nn.functional import conv_output_hw, pool_windows
 
 __all__ = ["MaxPoolUnitConfig", "MaxPoolUnit"]
@@ -50,13 +49,8 @@ class MaxPoolUnit:
     def __init__(self, config: MaxPoolUnitConfig) -> None:
         self.config = config
 
-    def execute(self, bits: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        """OR-reduce ``(n, H, W, C)`` boolean maps over each pool window.
-
-        ``out`` (bool, ``(n, H/ph, W/pw, C)``) makes the reduce
-        allocation-free; the windows are non-overlapping tiles, so the
-        tiled reshape is a view and the whole unit is one ufunc reduce.
-        """
+    def execute(self, bits: np.ndarray) -> np.ndarray:
+        """OR-reduce ``(n, H, W, C)`` boolean maps over each pool window."""
         cfg = self.config
         if bits.dtype != bool:
             raise TypeError(
@@ -64,62 +58,14 @@ class MaxPoolUnit:
                 f"{bits.dtype} (binarise first — pooling before sign() would "
                 f"not commute with the OR trick)"
             )
-        n, h, w, c = bits.shape
+        _, h, w, c = bits.shape
         if (h, w) != cfg.in_hw or c != cfg.channels:
             raise ValueError(
                 f"{cfg.name}: feature map {bits.shape[1:]} does not match "
                 f"configured {cfg.in_hw + (cfg.channels,)}"
             )
-        if out is None:
-            windows = pool_windows(bits.astype(np.uint8), cfg.pool, cfg.pool)
-            return windows.any(axis=3)
-        ph, pw = cfg.pool
-        oh, ow = cfg.out_hw
-        if out.shape != (n, oh, ow, c) or out.dtype != bool:
-            raise ValueError(
-                f"{cfg.name}: out must be bool {(n, oh, ow, c)}, got "
-                f"{out.dtype} {out.shape}"
-            )
-        tiled = bits.reshape(n, oh, ph, ow, pw, c)
-        np.logical_or.reduce(tiled, axis=(2, 4), out=out)
-        return out
-
-    def execute_packed(self, packed: PackedBits, out: np.ndarray = None) -> PackedBits:
-        """OR-reduce a channel-packed map word-wise: 64 channels per op.
-
-        ``packed.words`` is ``(n, H, W, C/64)``; the boolean OR of the
-        pool window is exactly the ``bitwise_or`` of its packed words,
-        so the unit never has to unpack — the software realisation of
-        the paper's "a single binary '1' suffices" observation.
-        """
-        cfg = self.config
-        words = packed.words
-        if words.ndim != 4:
-            raise ValueError(
-                f"{cfg.name}: expected packed (n, H, W, C/64) words, got "
-                f"{words.shape}"
-            )
-        n, h, w, cw = words.shape
-        if (h, w) != cfg.in_hw or packed.nbits != cfg.channels:
-            raise ValueError(
-                f"{cfg.name}: packed map {(h, w, packed.nbits)} does not "
-                f"match configured {cfg.in_hw + (cfg.channels,)}"
-            )
-        ph, pw = cfg.pool
-        oh, ow = cfg.out_hw
-        tiled = words.reshape(n, oh, ph, ow, pw, cw)
-        if out is not None:
-            if out.shape != (n, oh, ow, cw) or out.dtype != np.uint64:
-                raise ValueError(
-                    f"{cfg.name}: out must be uint64 {(n, oh, ow, cw)}, got "
-                    f"{out.dtype} {out.shape}"
-                )
-            np.bitwise_or.reduce(tiled, axis=(2, 4), out=out)
-            return PackedBits(words=out, nbits=packed.nbits)
-        pooled = np.bitwise_or.reduce(
-            np.bitwise_or.reduce(tiled, axis=4), axis=2
-        )
-        return PackedBits(words=pooled, nbits=packed.nbits)
+        windows = pool_windows(bits.astype(np.uint8), cfg.pool, cfg.pool)
+        return windows.any(axis=3)
 
     def cycles_per_image(self) -> int:
         """One output window per cycle."""

@@ -20,11 +20,7 @@ from typing import Optional
 import numpy as np
 
 from repro.hw.bitpack import PackedBits, pack_bits, unpack_bits
-from repro.hw.thresholding import (
-    ThresholdSpec,
-    apply_thresholds,
-    apply_thresholds_packed,
-)
+from repro.hw.thresholding import ThresholdSpec, apply_thresholds
 from repro.hw.xnor_kernels import bipolar_from_popcount, xnor_matmul_popcount
 
 __all__ = ["MVTUConfig", "MVTU"]
@@ -103,12 +99,6 @@ class MVTU:
         weights: np.ndarray,
         thresholds: Optional[ThresholdSpec],
     ) -> None:
-        weights = np.asarray(weights)
-        if weights.shape != (config.rows, config.cols):
-            raise ValueError(
-                f"{config.name}: weights {weights.shape} do not match "
-                f"matrix {(config.rows, config.cols)}"
-            )
         if config.has_threshold != (thresholds is not None):
             raise ValueError(
                 f"{config.name}: has_threshold={config.has_threshold} but "
@@ -119,11 +109,24 @@ class MVTU:
                 f"{config.name}: {thresholds.num_channels} thresholds for "
                 f"{config.rows} rows"
             )
+        self.config = config
+        self.thresholds = thresholds
+        self.set_weights(weights)
+
+    def set_weights(self, weights: np.ndarray) -> None:
+        """Install a bipolar ``(rows, cols)`` weight matrix and rebuild
+        every operand derived from it (fault injection rewrites weights
+        through here, so no engine keeps computing with stale copies)."""
+        config = self.config
+        weights = np.asarray(weights)
+        if weights.shape != (config.rows, config.cols):
+            raise ValueError(
+                f"{config.name}: weights {weights.shape} do not match "
+                f"matrix {(config.rows, config.cols)}"
+            )
         bad = (weights != 1) & (weights != -1)
         if bad.any():
             raise ValueError(f"{config.name}: weights must be bipolar -1/+1")
-        self.config = config
-        self.thresholds = thresholds
         self._weight_f32 = None  # lazy BLAS operand (see blas_weights)
         if config.input_bits == 1:
             self._packed_weights = pack_bits(weights.astype(np.int8))
@@ -144,10 +147,10 @@ class MVTU:
             )
 
     def blas_weights(self) -> np.ndarray:
-        """Cached ``float32 (cols, rows)`` operand for the BLAS-lowered GEMM.
+        """Cached ``float32 (cols, rows)`` operand for the planned sgemm.
 
-        Execution plans may lower the MVTU's matrix product to a single
-        ``sgemm`` when every intermediate fits exactly in float32 (all
+        Execution plans compute the MVTU's matrix product as one
+        ``sgemm``: every intermediate fits exactly in float32 (all
         operands and partial sums are integers far below 2**24, so the
         float product is bit-exact — see
         :func:`repro.hw.plan.blas_exact_bound`). Binary weights come out
@@ -162,21 +165,14 @@ class MVTU:
         return self._weight_f32
 
     # -- functional ------------------------------------------------------------
-    def compute_accumulators(
-        self, vectors, out: np.ndarray = None, scratch=None
-    ) -> np.ndarray:
+    def compute_accumulators(self, vectors) -> np.ndarray:
         """Raw integer accumulators for a batch of input vectors.
 
         For binary inputs, pass a :class:`PackedBits` of shape
         ``(n, cols)``; the result is the *popcount* accumulator. For 8-bit
         inputs pass an integer array ``(n, cols)``; the result is the raw
-        signed MAC.
-
-        ``out`` (``int64 (n, rows)``) and ``scratch`` (the GEMM slab pair,
-        see :func:`~repro.hw.xnor_kernels.xnor_matmul_popcount`) make the
-        binary path allocation-free; the 8-bit path honours ``out`` when
-        the input is already ``int64``. Both weight operands are cached
-        contiguous at construction, so no per-call transpose copies.
+        signed MAC. Both weight operands are cached contiguous at
+        construction, so no per-call transpose copies.
         """
         cfg = self.config
         if cfg.input_bits == 1:
@@ -189,11 +185,7 @@ class MVTU:
                     f"{cfg.name}: input fan-in {vectors.nbits} != {cfg.cols}"
                 )
             return xnor_matmul_popcount(
-                vectors,
-                self._packed_weights,
-                out=out,
-                b_cols=self._weight_cols,
-                scratch=scratch,
+                vectors, self._packed_weights, b_cols=self._weight_cols
             )
         vec = np.asarray(vectors)
         if vec.ndim != 2 or vec.shape[1] != cfg.cols:
@@ -205,32 +197,19 @@ class MVTU:
             raise TypeError(
                 f"{cfg.name}: 8-bit MVTU expects integer input, got {vec.dtype}"
             )
-        if out is not None:
-            np.matmul(vec.astype(np.int64, copy=False), self._weight_t64, out=out)
-            return out
         return vec.astype(np.int64, copy=False) @ self._weight_t64
 
-    def execute(self, vectors, pack_output: bool = False):
+    def execute(self, vectors):
         """Full unit: accumulate then threshold.
 
         Returns boolean output bits ``(n, rows)`` when thresholding, or
-        the bipolar/integer accumulators for the final layer. With
-        ``pack_output`` the thresholded bits are emitted as
-        :class:`PackedBits` (packed along rows) — the packed-domain
-        datapath's stage-to-stage currency.
+        the bipolar/integer accumulators for the final layer.
         """
         acc = self.compute_accumulators(vectors)
         if self.thresholds is None:
-            if pack_output:
-                raise ValueError(
-                    f"{self.config.name}: the un-thresholded accumulator "
-                    "stream cannot be bit-packed"
-                )
             if self.config.input_bits == 1:
                 return bipolar_from_popcount(acc, self.config.cols)
             return acc
-        if pack_output:
-            return apply_thresholds_packed(acc, self.thresholds)
         return apply_thresholds(acc, self.thresholds)
 
     # -- timing ---------------------------------------------------------------

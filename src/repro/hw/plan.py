@@ -1,9 +1,9 @@
 """Precompiled allocation-free inference execution plans.
 
 The FINN execution model compiles a network once into a fixed pipeline
-with statically-sized inter-stage buffers; the software datapath in
-:meth:`repro.hw.compiler.FinnAccelerator.execute` re-derives that
-structure every call — im2col geometry, intermediate allocation, pack
+with statically-sized inter-stage buffers; the interpreted reference
+datapath (:meth:`repro.hw.compiler.FinnAccelerator._run_interpreted`)
+re-derives that structure every call — im2col geometry, intermediate allocation, pack
 scratch. An :class:`ExecutionPlan` is the software analogue of the
 synthesised bitstream: compiled once per (model, folding config, batch
 geometry), it
@@ -23,31 +23,22 @@ geometry), it
   thresholding work for 2x2 pools — and the boolean pooling stage
   disappears entirely.
 
-GEMM lowering
--------------
+Float32-exact GEMMs
+-------------------
 
-A plan lowers each stage's matrix product one of two ways:
-
-``"blas"`` (chosen by ``"auto"`` whenever exact)
-    One float32 ``sgemm`` per stage. Every operand is an integer
-    (pixels ≤ 255, weights/activations bipolar ±1) and every partial
-    sum is bounded by :func:`blas_exact_bound` — far below ``2**24``,
-    the largest range where float32 holds consecutive integers — so
-    the float product is **bit-exact**, not approximate. Binary stages
-    run directly in the bipolar accumulator domain (``d = 2p - F``)
-    with thresholds rebased once at compile time (``p >= t  ⇔  d >=
-    2t - F``), and the final logits stage's product *is* the logits.
-
-``"packed"``
-    The bit-level XNOR+popcount datapath: word-domain gathers,
-    :class:`~repro.hw.bitpack.PackedRowWriter` re-packs, and the
-    blocked popcount GEMM — the faithful model of the hardware's
-    bit-serial arithmetic, kept fully supported (and exercised by the
-    equivalence tests) as the reference lowering.
-
-Both lowerings produce identical logits and identical ``return_bits``
-traces; the equivalence is pinned across the zoo by
-``tests/test_hw_plan.py``.
+A plan computes each stage's matrix product as one float32 ``sgemm``.
+Every operand is an integer (pixels ≤ 255, weights/activations bipolar
+±1) and every partial sum is bounded by :func:`blas_exact_bound` — far
+below ``2**24``, the largest range where float32 holds consecutive
+integers — so the float product is **bit-exact**, not approximate.
+Binary stages run directly in the bipolar accumulator domain (``d = 2p
+- F``) with thresholds rebased once at compile time (``p >= t  ⇔  d >=
+2t - F``), and the final logits stage's product *is* the logits. A
+model outside that bound is not plannable
+(:func:`plan_unsupported_reason` says why) and runs on the interpreted
+XNOR+popcount reference instead. Logits and ``return_bits`` traces
+match the reference exactly; ``tests/test_runtime_contract.py`` pins
+that across the zoo.
 
 Plans are **not** thread-safe (they own their buffers); the
 :class:`PlanCache` keys plans by thread identity so concurrent serving
@@ -61,7 +52,6 @@ from __future__ import annotations
 
 import gc
 import threading
-import time
 import tracemalloc
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -69,8 +59,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.hw.bitpack import WORD_BITS, PackedBits, PackedRowWriter, unpack_bits
-from repro.hw.xnor_kernels import gemm_block_rows
+from repro.hw.compiler import INPUT_SCALE, check_input_range
 from repro.nn.arena import BufferArena
 
 __all__ = [
@@ -118,6 +107,17 @@ def plan_unsupported_reason(accelerator) -> Optional[str]:
             return f"non-final stage {stage.name!r} has no thresholds"
     if stages[-1].kind != "fc" or stages[-1].mvtu.thresholds is not None:
         return "plan requires a final un-thresholded fc stage"
+    for stage in stages:
+        tb = _blas_thresholds(stage)
+        bound = max(
+            blas_exact_bound(stage),
+            0 if tb is None else int(np.abs(tb).max()),
+        )
+        if bound >= _F32_EXACT:
+            return (
+                f"stage {stage.name!r} reaches {bound}, beyond the "
+                f"float32-exact bound {_F32_EXACT}"
+            )
     return None
 
 
@@ -125,21 +125,20 @@ def blas_exact_bound(stage) -> int:
     """Largest integer magnitude ``stage``'s GEMM can produce.
 
     8-bit input stages accumulate at most ``255 * fan_in``; binary
-    stages run in the bipolar domain, where ``|2p - F| <= F``. The BLAS
-    lowering is exact iff this (and the rebased thresholds) stay below
-    ``2**24``.
+    stages run in the bipolar domain, where ``|2p - F| <= F``. The
+    float32 sgemm is exact iff this (and the rebased thresholds) stay
+    below ``2**24``.
     """
     cfg = stage.mvtu.config
     if cfg.input_bits == 8:
-        from repro.hw.compiler import INPUT_SCALE
-
         return INPUT_SCALE * cfg.cols
     return cfg.cols
 
 
 def _blas_thresholds(stage) -> Optional[np.ndarray]:
-    """``stage``'s thresholds rebased into its BLAS accumulator domain
-    (int64 — cast to float32 by the binder after the exactness check)."""
+    """``stage``'s thresholds rebased into its sgemm accumulator domain
+    (int64; :func:`plan_unsupported_reason` checks them against the
+    float32-exact bound before the binder casts them)."""
     spec = stage.mvtu.thresholds
     if spec is None:
         return None
@@ -149,57 +148,33 @@ def _blas_thresholds(stage) -> Optional[np.ndarray]:
     return 2 * spec.thresholds - stage.mvtu.config.cols
 
 
-def _resolve_lowering(accelerator, lowering: str) -> str:
-    if lowering not in ("auto", "blas", "packed"):
-        raise ValueError(
-            f"lowering must be 'auto', 'blas' or 'packed', got {lowering!r}"
-        )
-    if lowering != "auto":
-        return lowering
-    for stage in accelerator.stages:
-        if blas_exact_bound(stage) >= _F32_EXACT:
-            return "packed"
-        tb = _blas_thresholds(stage)
-        if tb is not None and int(np.abs(tb).max()) >= _F32_EXACT:
-            return "packed"
-    return "blas"
-
-
 class _PlannedStage:
     """One stage's bound buffers and its allocation-free ``run()``.
 
-    All views, index tables, writers, and constants are bound at plan
+    All views, index tables and constants are bound at plan
     compile time; ``run`` touches only prebuilt objects and ``out=``
     kernels.
     """
 
     __slots__ = (
-        "name", "kind", "mvtu", "cycles", "fused", "arena_bytes",
+        "name", "cycles", "fused", "arena_bytes",
         "gather_src", "gather_idx", "gather_out",
-        "row_writer", "rows_i64", "rows_f32", "w_f32", "a_packed",
-        "gemm_scratch", "conv_views", "gemm_tmp",
+        "rows_f32", "w_f32", "conv_views", "gemm_tmp",
         "acc", "acc6", "pmax", "pmin",
         "thr", "flip", "notflip", "any_flip",
-        "ge", "le", "act", "out_writer", "out_map", "logits_fanin",
-        "trace_ref",
+        "ge", "le", "act", "out_map", "trace_ref",
     )
 
-    def __init__(self, name: str, kind: str, mvtu) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.kind = kind
-        self.mvtu = mvtu
         self.cycles = 0
         self.fused = False
         self.arena_bytes = 0
         self.gather_src = None
         self.gather_idx = None
         self.gather_out = None
-        self.row_writer = None
-        self.rows_i64 = None
         self.rows_f32 = None
         self.w_f32 = None
-        self.a_packed = None
-        self.gemm_scratch = None
         self.conv_views = None
         self.gemm_tmp = None
         self.acc = None
@@ -213,16 +188,12 @@ class _PlannedStage:
         self.ge = None
         self.le = None
         self.act = None
-        self.out_writer = None
         self.out_map = None
-        self.logits_fanin = 0
         self.trace_ref = None
 
     def run(self) -> None:
         if self.gather_src is not None:
             self.gather_src.take(self.gather_idx, axis=1, out=self.gather_out)
-        if self.row_writer is not None:
-            self.row_writer.pack()
         if self.conv_views is not None:
             # Shifted-matmul convolution: stride-1 windows over a
             # channel-fastest map mean each kernel cell contributes one
@@ -233,22 +204,11 @@ class _PlannedStage:
             for view, wk in self.conv_views[1:]:
                 np.matmul(view, wk, out=self.gemm_tmp)
                 np.add(self.acc, self.gemm_tmp, out=self.acc)
-        elif self.w_f32 is not None:
-            np.matmul(self.rows_f32, self.w_f32, out=self.acc)
-        elif self.rows_i64 is not None:
-            self.mvtu.compute_accumulators(self.rows_i64, out=self.acc)
         else:
-            self.mvtu.compute_accumulators(
-                self.a_packed, out=self.acc, scratch=self.gemm_scratch
-            )
+            np.matmul(self.rows_f32, self.w_f32, out=self.acc)
         if self.thr is None:
-            # Final logits stage.
-            if self.w_f32 is not None:
-                # The bipolar sgemm already computed 2p - F.
-                np.copyto(self.out_map, self.acc, casting="unsafe")
-            else:
-                np.multiply(self.acc, 2, out=self.out_map)
-                np.subtract(self.out_map, self.logits_fanin, out=self.out_map)
+            # Final logits stage: the bipolar sgemm already computed 2p - F.
+            np.copyto(self.out_map, self.acc, casting="unsafe")
             return
         # Fused threshold(+pool): pooling accumulators commutes with
         # thresholding (max for >=-channels, min for flipped
@@ -263,21 +223,15 @@ class _PlannedStage:
             np.logical_and(self.ge, self.notflip, out=self.ge)
             np.logical_and(self.le, self.flip, out=self.le)
             np.logical_or(self.ge, self.le, out=self.ge)
-        if self.act is not None:
-            # Bipolar ±1 activation map for the next BLAS stage.
-            np.multiply(self.ge, _F32_TWO, out=self.act)
-            np.subtract(self.act, _F32_ONE, out=self.act)
-        if self.out_writer is not None:
-            self.out_writer.pack()
+        # Bipolar ±1 activation map for the next stage's sgemm.
+        np.multiply(self.ge, _F32_TWO, out=self.act)
+        np.subtract(self.act, _F32_ONE, out=self.act)
 
     def trace_bits(self) -> np.ndarray:
         """This stage's boolean activation map (or final logits), as a
         fresh array safe to keep across executions (debug mode only —
         this path allocates)."""
-        kind, ref = self.trace_ref
-        if kind == "packed":
-            return unpack_bits(ref, dtype=bool)
-        return ref.copy()
+        return self.trace_ref.copy()
 
 
 class ExecutionPlan:
@@ -287,11 +241,8 @@ class ExecutionPlan:
     :class:`PlanCache` do it); run many times via :meth:`execute`. The
     plan owns (or is bound to) a :class:`~repro.nn.arena.BufferArena`
     holding every intermediate; with ``out=`` supplied, steady-state
-    :meth:`execute` performs zero heap allocations. ``lowering`` picks
-    the GEMM realisation (see the module docstring); the default
-    ``"auto"`` uses the exact-float32 BLAS lowering whenever its
-    integer-exactness bound holds and the packed XNOR datapath
-    otherwise.
+    :meth:`execute` performs zero heap allocations. Accelerators that
+    :func:`plan_unsupported_reason` rejects raise ``ValueError``.
     """
 
     def __init__(
@@ -299,7 +250,6 @@ class ExecutionPlan:
         accelerator,
         batch_size: int,
         arena: Optional[BufferArena] = None,
-        lowering: str = "auto",
     ) -> None:
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
@@ -308,7 +258,6 @@ class ExecutionPlan:
             raise ValueError(f"{accelerator.name}: {reason}")
         self.accelerator = accelerator
         self.batch_size = int(batch_size)
-        self.lowering = _resolve_lowering(accelerator, lowering)
         self.key = plan_key(accelerator, batch_size)
         self._arena = arena if arena is not None else BufferArena()
         self._bind()
@@ -351,69 +300,45 @@ class ExecutionPlan:
     # -- compilation ----------------------------------------------------------
     def _bind(self) -> None:
         """(Re)bind every step's buffers and index tables to the arena."""
-        from repro.hw.compiler import INPUT_SCALE
-
         self._bound_epoch = self._arena.epoch
         self.stage_arena_bytes: Dict[str, int] = {}
         n = self.batch_size
         h, w, c = self.accelerator.input_shape
         self._scale = np.float64(INPUT_SCALE)
-        self._input_scale = int(INPUT_SCALE)
         self._q_f64 = self._get("input", "quant_f64", (n, h, w, c), np.float64)
-        if self.lowering == "blas":
-            # Pixels ≤ 255 are exact in float32 — gather and multiply
-            # directly in the BLAS operand dtype.
-            self._q_num = self._get("input", "quant_f32", (n, h, w, c), np.float32)
-        else:
-            self._q_num = self._get("input", "quant_i64", (n, h, w, c), np.int64)
+        # Pixels ≤ 255 are exact in float32 — gather and multiply
+        # directly in the sgemm operand dtype.
+        self._q_num = self._get("input", "quant_f32", (n, h, w, c), np.float32)
         self._q_flat = self._q_num.reshape(n, h * w * c)
 
-        # Inter-stage value, one of:
-        #   ("f32", ±1 activation map)      — BLAS lowering
-        #   ("packed", words, nbits)        — packed lowering, aligned
-        #   ("bool", bit map)               — packed lowering, narrow
-        domain = ("int", None)
+        act = None  # the previous stage's ±1 activation map
         steps: List[_PlannedStage] = []
         fused = 0
         for stage in self.accelerator.stages:
-            st = _PlannedStage(stage.name, stage.kind, stage.mvtu)
+            st = _PlannedStage(stage.name)
             st.cycles = stage.initiation_interval()
             if stage.kind == "conv":
-                if self.lowering == "blas":
-                    domain = self._bind_conv_blas(st, stage, domain, n)
-                else:
-                    domain = self._bind_conv_packed(st, stage, domain, n)
+                act = self._bind_conv(st, stage, act, n)
                 if stage.pool is not None:
                     st.fused = True
                     fused += 1
             else:
-                if self.lowering == "blas":
-                    domain = self._bind_fc_blas(st, stage, domain, n)
-                else:
-                    domain = self._bind_fc_packed(st, stage, domain, n)
+                act = self._bind_fc(st, stage, act, n)
             st.arena_bytes = self.stage_arena_bytes.get(stage.name, 0)
             steps.append(st)
         self._stages = steps
         self.fused_stages = fused
         self._logits = steps[-1].out_map
 
-    # -- BLAS lowering --------------------------------------------------------
-    def _bind_thresholds_blas(self, st: _PlannedStage, stage) -> None:
+    # -- stage binding --------------------------------------------------------
+    def _bind_thresholds(self, st: _PlannedStage, stage) -> None:
         spec = stage.mvtu.thresholds
-        tb = _blas_thresholds(stage)
-        if int(np.abs(tb).max()) >= _F32_EXACT or (
-            blas_exact_bound(stage) >= _F32_EXACT
-        ):
-            raise ValueError(
-                f"{stage.name}: BLAS lowering is not exact for this "
-                "geometry; use lowering='packed'"
-            )
-        st.thr = tb.astype(np.float32)
+        st.thr = _blas_thresholds(stage).astype(np.float32)
         st.flip = spec.flipped
         st.notflip = ~spec.flipped
         st.any_flip = bool(spec.flipped.any())
 
-    def _bind_conv_blas(self, st: _PlannedStage, stage, domain, n: int):
+    def _bind_conv(self, st: _PlannedStage, stage, act_in, n: int):
         cfg = stage.mvtu.config
         swu = stage.swu
         oh, ow = swu.config.out_hw
@@ -438,7 +363,6 @@ class ExecutionPlan:
             # shifted *view* of the previous ±1 activation map — no
             # im2col gather. Weight layout is (kh, kw, C) channels
             # fastest, so cell i's operand is rows [i*C, (i+1)*C).
-            act_in = domain[1]
             ch = swu.config.channels
             kh, kw = swu.config.kernel
             st.acc = self._get(name, "acc", (n, oh, ow, rows), np.float32)
@@ -453,7 +377,7 @@ class ExecutionPlan:
                         weights[cell * ch : (cell + 1) * ch],
                     ))
             st.conv_views = views
-        self._bind_thresholds_blas(st, stage)
+        self._bind_thresholds(st, stage)
         if stage.pool is not None:
             ph, pw = stage.pool.config.pool
             out_h, out_w = stage.pool.config.out_hw
@@ -473,204 +397,40 @@ class ExecutionPlan:
         if st.any_flip:
             st.le = self._get(name, "bits_flip", (n, out_h, out_w, rows), bool)
         st.act = self._get(name, "act", (n, out_h, out_w, rows), np.float32)
-        st.trace_ref = ("bool", st.ge)
-        return ("f32", st.act)
+        st.trace_ref = st.ge
+        return st.act
 
-    def _bind_fc_blas(self, st: _PlannedStage, stage, domain, n: int):
+    def _bind_fc(self, st: _PlannedStage, stage, act_in, n: int):
         cfg = stage.mvtu.config
         rows, cols = cfg.rows, cfg.cols
         name = stage.name
-        act_in = domain[1]
         d = int(np.prod(act_in.shape[1:]))
         if d != cols:
             raise RuntimeError(f"{name}: fan-in mismatch ({d} != {cols})")
         st.rows_f32 = act_in.reshape(n, cols)
         st.w_f32 = stage.mvtu.blas_weights()
-        spec = stage.mvtu.thresholds
-        if spec is None:
-            st.acc = self._get(name, "acc", (n, rows), np.float32)
-            st.out_map = self._get(name, "logits", (n, rows), np.int64)
-            st.trace_ref = ("logits", st.out_map)
-            return ("logits", st.out_map)
         st.acc = self._get(name, "acc", (n, rows), np.float32)
-        self._bind_thresholds_blas(st, stage)
+        if stage.mvtu.thresholds is None:
+            st.out_map = self._get(name, "logits", (n, rows), np.int64)
+            st.trace_ref = st.out_map
+            return st.out_map
+        self._bind_thresholds(st, stage)
         st.pmax = st.acc
         st.pmin = st.acc
         st.ge = self._get(name, "bits", (n, rows), bool)
         if st.any_flip:
             st.le = self._get(name, "bits_flip", (n, rows), bool)
         st.act = self._get(name, "act", (n, rows), np.float32)
-        st.trace_ref = ("bool", st.ge)
-        return ("f32", st.act)
-
-    # -- packed lowering ------------------------------------------------------
-    def _bind_conv_packed(self, st: _PlannedStage, stage, domain, n: int):
-        cfg = stage.mvtu.config
-        swu = stage.swu
-        oh, ow = swu.config.out_hw
-        m = n * oh * ow
-        rows, cols = cfg.rows, cfg.cols
-        name = stage.name
-        # 1. gather (im2col as a cached index take)
-        if cfg.input_bits == 8:
-            st.gather_src = self._q_flat
-            st.gather_idx = swu.gather_indices()
-            gat = self._get(name, "gather", (n, oh * ow * cols), np.int64)
-            st.gather_out = gat
-            st.rows_i64 = gat.reshape(m, cols)
-        elif domain[0] == "packed":
-            words, nbits = domain[1], domain[2]
-            if nbits != swu.config.channels:
-                raise RuntimeError(f"{name}: packed fan-in mismatch")
-            ww = cols // WORD_BITS
-            st.gather_src = words.reshape(n, -1)
-            st.gather_idx = swu.gather_word_indices()
-            gat = self._get(name, "gather", (n, oh * ow * ww), np.uint64)
-            st.gather_out = gat
-            st.a_packed = PackedBits(words=gat.reshape(m, ww), nbits=cols)
-        else:
-            bits = domain[1]
-            st.gather_src = bits.view(np.uint8).reshape(n, -1)
-            st.gather_idx = swu.gather_indices()
-            gat = self._get(name, "gather", (n, oh * ow * cols), np.uint8)
-            st.gather_out = gat
-            ww = (cols + WORD_BITS - 1) // WORD_BITS
-            row_words = self._get(name, "rows_words", (m, ww), np.uint64)
-            st.row_writer = PackedRowWriter(
-                gat.reshape(m, cols),
-                row_words,
-                scratch=self._get(
-                    name, "pack_scratch", (m, max(cols // 8, 1)), np.uint8
-                ),
-            )
-            st.a_packed = PackedBits(words=row_words, nbits=cols)
-        # 2. accumulate
-        st.acc = self._get(name, "acc", (m, rows), np.int64)
-        if st.a_packed is not None:
-            ww_in = st.a_packed.n_words
-            bs = min(gemm_block_rows(m, rows, ww_in), m)
-            st.gemm_scratch = (
-                self._get(name, "gemm_xor", (bs, rows), np.uint64),
-                self._get(name, "gemm_cnt", (bs, rows), np.uint8),
-            )
-        # 3. fused threshold(+pool) + pack
-        spec = stage.mvtu.thresholds
-        st.thr = spec.thresholds
-        st.flip = spec.flipped
-        st.notflip = ~spec.flipped
-        st.any_flip = bool(spec.flipped.any())
-        acc4 = st.acc.reshape(n, oh, ow, rows)
-        if stage.pool is not None:
-            ph, pw = stage.pool.config.pool
-            out_h, out_w = stage.pool.config.out_hw
-            st.acc6 = acc4.reshape(n, out_h, ph, out_w, pw, rows)
-            st.pmax = self._get(name, "pool_max", (n, out_h, out_w, rows), np.int64)
-            if st.any_flip:
-                st.pmin = self._get(
-                    name, "pool_min", (n, out_h, out_w, rows), np.int64
-                )
-        else:
-            out_h, out_w = oh, ow
-            st.pmax = acc4
-            st.pmin = acc4
-        st.ge = self._get(name, "bits", (n, out_h, out_w, rows), bool)
-        if st.any_flip:
-            st.le = self._get(name, "bits_flip", (n, out_h, out_w, rows), bool)
-        m2 = n * out_h * out_w
-        if rows % WORD_BITS == 0:
-            rw = rows // WORD_BITS
-            out_words = self._get(name, "out_words", (n, out_h, out_w, rw), np.uint64)
-            st.out_writer = PackedRowWriter(
-                st.ge.reshape(m2, rows),
-                out_words.reshape(m2, rw),
-                scratch=self._get(
-                    name, "out_pack_scratch", (m2, rows // 8), np.uint8
-                ),
-            )
-            st.trace_ref = ("packed", PackedBits(words=out_words, nbits=rows))
-            return ("packed", out_words, rows)
-        st.trace_ref = ("bool", st.ge)
-        return ("bool", st.ge)
-
-    def _bind_fc_packed(self, st: _PlannedStage, stage, domain, n: int):
-        cfg = stage.mvtu.config
-        rows, cols = cfg.rows, cfg.cols
-        name = stage.name
-        # 1. input vector: flatten (packed channel-fastest maps ravel to
-        # packed raveled bits) or pack a boolean map.
-        if domain[0] == "packed":
-            words, nbits = domain[1], domain[2]
-            logical = (
-                int(np.prod(words.shape[1:-1])) * nbits
-                if words.ndim > 2
-                else nbits
-            )
-            if logical != cols:
-                raise RuntimeError(f"{name}: packed fan-in mismatch")
-            st.a_packed = PackedBits(words=words.reshape(n, -1), nbits=cols)
-        else:
-            bits = domain[1]
-            d = int(np.prod(bits.shape[1:]))
-            if d != cols:
-                raise RuntimeError(f"{name}: boolean fan-in mismatch")
-            ww = (cols + WORD_BITS - 1) // WORD_BITS
-            vec_words = self._get(name, "vec_words", (n, ww), np.uint64)
-            st.row_writer = PackedRowWriter(
-                bits.view(np.uint8).reshape(n, cols),
-                vec_words,
-                scratch=self._get(
-                    name, "pack_scratch", (n, max(cols // 8, 1)), np.uint8
-                ),
-            )
-            st.a_packed = PackedBits(words=vec_words, nbits=cols)
-        # 2. accumulate
-        st.acc = self._get(name, "acc", (n, rows), np.int64)
-        bs = min(gemm_block_rows(n, rows, st.a_packed.n_words), n)
-        st.gemm_scratch = (
-            self._get(name, "gemm_xor", (bs, rows), np.uint64),
-            self._get(name, "gemm_cnt", (bs, rows), np.uint8),
-        )
-        # 3. threshold / logits
-        spec = stage.mvtu.thresholds
-        if spec is None:
-            st.out_map = self._get(name, "logits", (n, rows), np.int64)
-            st.logits_fanin = cols
-            st.trace_ref = ("logits", st.out_map)
-            return ("logits", st.out_map)
-        st.thr = spec.thresholds
-        st.flip = spec.flipped
-        st.notflip = ~spec.flipped
-        st.any_flip = bool(spec.flipped.any())
-        st.pmax = st.acc
-        st.pmin = st.acc
-        st.ge = self._get(name, "bits", (n, rows), bool)
-        if st.any_flip:
-            st.le = self._get(name, "bits_flip", (n, rows), bool)
-        if rows % WORD_BITS == 0:
-            rw = rows // WORD_BITS
-            out_words = self._get(name, "out_words", (n, rw), np.uint64)
-            st.out_writer = PackedRowWriter(
-                st.ge,
-                out_words,
-                scratch=self._get(name, "out_pack_scratch", (n, rows // 8), np.uint8),
-            )
-            st.trace_ref = ("packed", PackedBits(words=out_words, nbits=rows))
-            return ("packed", out_words, rows)
-        st.trace_ref = ("bool", st.ge)
-        return ("bool", st.ge)
+        st.trace_ref = st.ge
+        return st.act
 
     # -- execution ------------------------------------------------------------
     def _quantize(self, images: np.ndarray) -> None:
         """Allocation-free equivalent of ``FinnAccelerator.quantize_input``."""
+        check_input_range(images)
         if np.issubdtype(images.dtype, np.integer):
-            if images.min() < 0 or images.max() > self._input_scale:
-                raise ValueError(
-                    f"integer input must be in [0, {self._input_scale}]"
-                )
             np.copyto(self._q_num, images)
             return
-        if images.min() < -1e-6 or images.max() > 1.0 + 1e-6:
-            raise ValueError("float input must be in [0, 1]")
         # Multiply by a float64 *scalar* so the product is computed in
         # float64 regardless of the input dtype — identical to the
         # interpreted path's astype(float64) * 255. The rounded result
@@ -686,7 +446,6 @@ class ExecutionPlan:
         return_bits: bool = False,
         tracer=None,
         parent=None,
-        stage_seconds: Optional[list] = None,
     ):
         """Run the planned datapath on one fixed-geometry batch.
 
@@ -717,10 +476,7 @@ class ExecutionPlan:
         bits_trace = [] if return_bits else None
         for st in self._stages:
             t0 = tracer.clock.monotonic() if tracer is not None else 0.0
-            wall0 = time.perf_counter() if stage_seconds is not None else 0.0
             st.run()
-            if stage_seconds is not None:
-                stage_seconds.append((st.name, time.perf_counter() - wall0))
             if tracer is not None:
                 tracer.record(
                     f"hw.{st.name}",
@@ -767,14 +523,12 @@ class PlanCache:
         accelerator,
         capacity: int = 8,
         arena: Optional[BufferArena] = None,
-        lowering: str = "auto",
     ) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self._accelerator = accelerator
         self._capacity = capacity
         self._arena = arena
-        self._lowering = lowering
         self._lock = threading.Lock()
         self._plans: "OrderedDict[Tuple, ExecutionPlan]" = OrderedDict()
         self._hits = 0
@@ -787,28 +541,13 @@ class PlanCache:
         import copy as _copy
 
         accelerator = _copy.deepcopy(self._accelerator, memo)
-        clone = PlanCache(
-            accelerator, capacity=self._capacity, lowering=self._lowering
-        )
+        clone = PlanCache(accelerator, capacity=self._capacity)
         memo[id(self)] = clone
         return clone
 
-    def get(
-        self, batch_size: int, lowering: Optional[str] = None
-    ) -> Tuple[ExecutionPlan, bool]:
-        """(plan, was_cache_hit) for this batch size on this thread.
-
-        ``lowering`` overrides the cache default per lookup; plans with
-        different lowerings coexist under distinct keys (``"auto"`` is
-        resolved first, so it shares the entry of whichever concrete
-        lowering it picks).
-        """
-        resolved = _resolve_lowering(
-            self._accelerator, lowering if lowering is not None
-            else self._lowering,
-        )
+    def get(self, batch_size: int) -> Tuple[ExecutionPlan, bool]:
+        """(plan, was_cache_hit) for this batch size on this thread."""
         key = plan_key(self._accelerator, batch_size) + (
-            resolved,
             threading.get_ident(),
         )
         with self._lock:
@@ -819,8 +558,7 @@ class PlanCache:
                 return plan, True
             self._misses += 1
         plan = ExecutionPlan(  # compiled outside the lock
-            self._accelerator, batch_size, arena=self._arena,
-            lowering=resolved,
+            self._accelerator, batch_size, arena=self._arena
         )
         with self._lock:
             self._plans[key] = plan
@@ -829,7 +567,7 @@ class PlanCache:
                 self._plans.popitem(last=False)
         return plan, False
 
-    def prewarm(self, batch_sizes, lowering: Optional[str] = None) -> None:
+    def prewarm(self, batch_sizes) -> None:
         """Compile a plan per batch size now, so requests never pay one.
 
         The pool workers call this with their bucket set at startup;
@@ -843,7 +581,7 @@ class PlanCache:
                 f"capacity {self._capacity}"
             )
         for size in sizes:
-            self.get(size, lowering=lowering)
+            self.get(size)
 
     def stats(self) -> Dict:
         """Cache counters + resident arena footprint."""

@@ -21,7 +21,6 @@ from typing import Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.hw.bitpack import WORD_BITS, PackedBits
 from repro.nn.functional import conv_output_hw, im2col
 
 __all__ = ["SWUConfig", "SlidingWindowUnit"]
@@ -59,75 +58,43 @@ class SWUConfig:
     def window_elems(self) -> int:
         return self.kernel[0] * self.kernel[1] * self.channels
 
-    @property
-    def supports_packed(self) -> bool:
-        """Whether the packed-domain gather can run for this geometry.
-
-        Packing is along channels (fastest axis of a window row), so a
-        window built from whole channel words is itself a valid packed
-        row exactly when the channel count is word-aligned — CNV's
-        64/128/256-channel stages qualify; n-CNV/µ-CNV's 16/32-channel
-        stages fall back to the boolean path.
-        """
-        return self.channels % WORD_BITS == 0
-
 
 class SlidingWindowUnit:
     """Functional + timed SWU."""
 
     def __init__(self, config: SWUConfig) -> None:
         self.config = config
-        self._gather_elems: np.ndarray = None  # lazy per-element index table
-        self._gather_words: np.ndarray = None  # lazy per-word index table
-
-    def _window_index(self, channels_like: int) -> np.ndarray:
-        """Flat gather indices mapping a raveled ``(H, W, channels_like)``
-        map to raveled ``(oh, ow, kh, kw, channels_like)`` window rows —
-        the im2col layout (window cells in raster order, channels
-        fastest). Computed once per unit and cached: batch-independent,
-        so every execution plan compiled for this unit shares it.
-        """
-        cfg = self.config
-        h, w = cfg.in_hw
-        kh, kw = cfg.kernel
-        sh, sw = cfg.stride
-        src = np.arange(h * w * channels_like, dtype=np.intp).reshape(
-            h, w, channels_like
-        )
-        windows = sliding_window_view(src, (kh, kw), axis=(0, 1))
-        windows = windows[::sh, ::sw]  # (oh, ow, c, kh, kw)
-        return np.ascontiguousarray(
-            windows.transpose(0, 1, 3, 4, 2)
-        ).reshape(-1)
+        self._gather_elems: np.ndarray = None  # lazy index table
 
     def gather_indices(self) -> np.ndarray:
-        """Cached element-domain gather table (``oh*ow*K*K*C`` entries)."""
+        """Flat gather indices mapping a raveled ``(H, W, C)`` map to
+        raveled ``(oh, ow, kh, kw, C)`` window rows — the im2col layout
+        (window cells in raster order, channels fastest). Computed once
+        per unit and cached: batch-independent, so every execution plan
+        compiled for this unit shares it.
+        """
         if self._gather_elems is None:
-            self._gather_elems = self._window_index(self.config.channels)
+            cfg = self.config
+            h, w = cfg.in_hw
+            kh, kw = cfg.kernel
+            sh, sw = cfg.stride
+            src = np.arange(h * w * cfg.channels, dtype=np.intp).reshape(
+                h, w, cfg.channels
+            )
+            windows = sliding_window_view(src, (kh, kw), axis=(0, 1))
+            windows = windows[::sh, ::sw]  # (oh, ow, c, kh, kw)
+            self._gather_elems = np.ascontiguousarray(
+                windows.transpose(0, 1, 3, 4, 2)
+            ).reshape(-1)
         return self._gather_elems
 
-    def gather_word_indices(self) -> np.ndarray:
-        """Cached word-domain gather table (``oh*ow*K*K*C/64`` entries)."""
-        if self._gather_words is None:
-            if not self.config.supports_packed:
-                raise ValueError(
-                    f"{self.config.name}: packed gather needs word-aligned "
-                    f"channels, got {self.config.channels}"
-                )
-            self._gather_words = self._window_index(
-                self.config.channels // WORD_BITS
-            )
-        return self._gather_words
-
-    def execute(self, feature_map: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    def execute(self, feature_map: np.ndarray) -> np.ndarray:
         """Reshape ``(n, H, W, C)`` maps into ``(n * oh * ow, K*K*C)`` rows.
 
         Works on any dtype (bits travel as bool/int8; the first layer's
         pixels as uint8/int32). Row order is raster-scan over output
         pixels — the order the MVTU consumes. Integer/bool inputs return
-        ``int64`` rows via the cached gather table; ``out`` (int64,
-        ``(n*oh*ow, K*K*C)``, C-contiguous) makes that path
-        allocation-free when the input is already ``int64``.
+        ``int64`` rows via the cached gather table.
         """
         cfg = self.config
         n, h, w, c = feature_map.shape
@@ -141,77 +108,11 @@ class SlidingWindowUnit:
             # Integer-domain gather: exact (values are small ints), no
             # float64 im2col round-trip.
             src = feature_map.astype(np.int64, copy=False).reshape(n, -1)
-            idx = self.gather_indices()
-            if out is not None:
-                if out.shape != (n * oh * ow, cfg.window_elems) or (
-                    out.dtype != np.int64
-                ):
-                    raise ValueError(
-                        f"{cfg.name}: out must be int64 "
-                        f"{(n * oh * ow, cfg.window_elems)}, got "
-                        f"{out.dtype} {out.shape}"
-                    )
-                if not out.flags.c_contiguous:
-                    raise ValueError(f"{cfg.name}: out must be C-contiguous")
-                src.take(idx, axis=1, out=out.reshape(n, -1))
-                return out
-            return src.take(idx, axis=1).reshape(
+            return src.take(self.gather_indices(), axis=1).reshape(
                 n * oh * ow, cfg.window_elems
-            )
-        if out is not None:
-            raise ValueError(
-                f"{cfg.name}: out= is only supported for integer inputs"
             )
         cols = im2col(feature_map, cfg.kernel, cfg.stride, (0, 0))
         return cols.reshape(n * oh * ow, cfg.window_elems)
-
-    def execute_packed(self, packed: PackedBits, out: np.ndarray = None) -> PackedBits:
-        """Packed-domain im2col: gather channel *words* instead of bits.
-
-        ``packed`` holds a channel-packed feature map — ``words`` of
-        shape ``(n, H, W, C / 64)`` with ``nbits == C`` — and the result
-        packs the same window rows :meth:`execute` would produce:
-        because the window layout is ``(kh, kw, C)`` with channels
-        fastest and ``C`` is word-aligned, concatenating the window
-        cells' words *is* the packed concatenation of their bits. The
-        gather therefore moves 64 bits per element and never leaves the
-        bit domain (no float64 im2col, no re-pack).
-        """
-        cfg = self.config
-        if not cfg.supports_packed:
-            raise ValueError(
-                f"{cfg.name}: packed gather needs word-aligned channels, "
-                f"got {cfg.channels}"
-            )
-        words = packed.words
-        if words.ndim != 4:
-            raise ValueError(
-                f"{cfg.name}: expected packed (n, H, W, C/64) words, got "
-                f"{words.shape}"
-            )
-        n, h, w, _ = words.shape
-        if (h, w) != cfg.in_hw or packed.nbits != cfg.channels:
-            raise ValueError(
-                f"{cfg.name}: packed map {(h, w, packed.nbits)} does not "
-                f"match configured {cfg.in_hw + (cfg.channels,)}"
-            )
-        oh, ow = cfg.out_hw
-        idx = self.gather_word_indices()
-        n_words = cfg.window_elems // WORD_BITS
-        flat = words.reshape(n, -1)
-        if out is not None:
-            if out.shape != (n * oh * ow, n_words) or out.dtype != np.uint64:
-                raise ValueError(
-                    f"{cfg.name}: out must be uint64 "
-                    f"{(n * oh * ow, n_words)}, got {out.dtype} {out.shape}"
-                )
-            if not out.flags.c_contiguous:
-                raise ValueError(f"{cfg.name}: out must be C-contiguous")
-            flat.take(idx, axis=1, out=out.reshape(n, -1))
-            rows = out
-        else:
-            rows = flat.take(idx, axis=1).reshape(n * oh * ow, n_words)
-        return PackedBits(words=rows, nbits=cfg.window_elems)
 
     def cycles_per_image(self) -> int:
         """Streaming initiation interval for one image."""

@@ -25,14 +25,11 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.hw.bitpack import pack_bits
-
 __all__ = [
     "ThresholdSpec",
     "fold_batchnorm_sign",
     "fold_popcount_domain",
     "apply_thresholds",
-    "apply_thresholds_packed",
     "quantize_spec",
 ]
 
@@ -229,14 +226,3 @@ def apply_thresholds(acc: np.ndarray, spec: ThresholdSpec) -> np.ndarray:
     ge = acc >= spec.thresholds
     le = acc <= spec.thresholds
     return np.where(spec.flipped, le, ge)
-
-
-def apply_thresholds_packed(acc: np.ndarray, spec: ThresholdSpec):
-    """:func:`apply_thresholds` emitting bit-packed output.
-
-    Returns a :class:`~repro.hw.bitpack.PackedBits` whose logical tensor
-    equals the boolean result of :func:`apply_thresholds` — the form the
-    packed-domain datapath hands straight to the next stage without ever
-    materialising a per-channel boolean feature map.
-    """
-    return pack_bits(apply_thresholds(acc, spec))

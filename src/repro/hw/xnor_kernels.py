@@ -27,7 +27,6 @@ __all__ = [
     "xnor_matmul_popcount",
     "xnor_dot_popcount",
     "bipolar_from_popcount",
-    "gemm_block_rows",
 ]
 
 # Target working-set size (elements) for one blocked GEMM pass: the
@@ -49,16 +48,6 @@ def _choose_block(m: int, n: int, w: int) -> int:
     if w <= 1:
         return m
     return max(1, min(m, _BLOCK_ELEMS // max(1, n)))
-
-
-def gemm_block_rows(m: int, n: int, w: int) -> int:
-    """Public row-block size for ``(m, n)`` output over ``w`` packed words.
-
-    Callers that preallocate the kernel's per-slab scratch (see the
-    ``scratch`` parameter of :func:`xnor_matmul_popcount`) size it as
-    ``(min(gemm_block_rows(m, n, w), m), n)``.
-    """
-    return _choose_block(m, n, w)
 
 
 def bipolar_from_popcount(p: np.ndarray, fan_in: int) -> np.ndarray:
@@ -83,9 +72,7 @@ def xnor_dot_popcount(a: PackedBits, b: PackedBits) -> np.ndarray:
 def xnor_matmul_popcount(
     a: PackedBits,
     b: PackedBits,
-    out: np.ndarray = None,
     b_cols: np.ndarray = None,
-    scratch=None,
 ) -> np.ndarray:
     """Binary GEMM: returns ``(M, N)`` match counts.
 
@@ -94,12 +81,9 @@ def xnor_matmul_popcount(
     float GEMM convention, matching the hardware's weight layout where
     each PE holds whole rows).
 
-    The allocation-free form (used by the compiled inference plans)
-    passes ``out`` (``int64 (M, N)``), ``b_cols`` (the precomputed
-    ``ascontiguousarray(b.words.T)`` — for a fixed weight operand this
-    transpose-copy is per-call waste) and ``scratch`` (a pair of
-    ``(block, N)`` uint64/uint8 slabs, sized via :func:`gemm_block_rows`).
-    All forms are bit-identical.
+    ``b_cols`` is the precomputed ``ascontiguousarray(b.words.T)`` — for
+    a fixed weight operand (an MVTU's weights) rebuilding this
+    transpose-copy every call is waste. Both forms are bit-identical.
     """
     if a.words.ndim != 2 or b.words.ndim != 2:
         raise ValueError(
@@ -110,12 +94,7 @@ def xnor_matmul_popcount(
     m = a.words.shape[0]
     n = b.words.shape[0]
     w = a.n_words
-    if out is None:
-        out = np.empty((m, n), dtype=np.int64)
-    elif out.shape != (m, n) or out.dtype != np.int64:
-        raise ValueError(
-            f"out must be int64 {(m, n)}, got {out.dtype} {out.shape}"
-        )
+    out = np.empty((m, n), dtype=np.int64)
     block = _choose_block(m, n, w)
     # Per-word accumulation: each pass XORs one packed word column of A
     # against the matching column of B and adds its popcount into the
@@ -127,23 +106,8 @@ def xnor_matmul_popcount(
         raise ValueError(
             f"b_cols must be uint64 {(w, n)}, got {b_cols.dtype} {b_cols.shape}"
         )
-    if scratch is None:
-        xor_buf = np.empty((min(block, m), n), dtype=np.uint64)
-        cnt_buf = np.empty((min(block, m), n), dtype=np.uint8)
-    else:
-        xor_buf, cnt_buf = scratch
-        if (
-            xor_buf.shape[0] < min(block, m)
-            or xor_buf.shape[1] != n
-            or xor_buf.dtype != np.uint64
-            or cnt_buf.shape != xor_buf.shape
-            or cnt_buf.dtype != np.uint8
-        ):
-            raise ValueError(
-                f"scratch must be uint64/uint8 ({min(block, m)}, {n}) slabs, "
-                f"got {xor_buf.dtype} {xor_buf.shape} / "
-                f"{cnt_buf.dtype} {cnt_buf.shape}"
-            )
+    xor_buf = np.empty((min(block, m), n), dtype=np.uint64)
+    cnt_buf = np.empty((min(block, m), n), dtype=np.uint8)
     for start in range(0, m, block):
         stop = min(m, start + block)
         rows = stop - start

@@ -8,7 +8,7 @@ small fixed set (powers of two up to the batcher's ``max_batch_size`` by
 default), padding the tail with zero images.
 
 Padding is legal because every planned stage is row-wise in the batch
-axis: im2col, the GEMM lowerings, thresholding and pooling all treat
+axis: im2col, the GEMM, thresholding and pooling all treat
 image ``i``'s rows independently of image ``j``'s, so logits
 ``[:n_valid]`` of a padded batch are bit-identical to the unpadded run
 (pinned by ``tests/test_parallel.py``). The pad rows cost compute but

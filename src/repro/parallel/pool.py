@@ -35,6 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.hw.compiler import check_input_range
 from repro.parallel.bucketing import (
     bucket_for,
     default_buckets,
@@ -116,16 +117,14 @@ class ProcessPool:
         trace_sample: Optional[int] = None,
         start_method: Optional[str] = None,
         on_event: Optional[Callable[[str, int], None]] = None,
-        lowering: str = "auto",
     ) -> None:
-        from repro.hw.plan import _resolve_lowering, plan_unsupported_reason
+        from repro.hw.plan import plan_unsupported_reason
 
+        # Validate eagerly: an unplannable model should fail here, not
+        # as a "fatal" handshake from every spawned worker.
         reason = plan_unsupported_reason(accelerator)
         if reason is not None:
             raise ValueError(f"{accelerator.name}: {reason}")
-        # Validate eagerly: a bad lowering should fail here, not as a
-        # "fatal" handshake from every spawned worker.
-        self.lowering = _resolve_lowering(accelerator, lowering)
         if num_workers is None:
             num_workers = recommended_workers()
         if num_workers <= 0:
@@ -196,7 +195,6 @@ class ProcessPool:
                 q,
                 self._result_q,
                 self.trace_sample,
-                self.lowering,
             ),
             daemon=True,
         )
@@ -278,6 +276,10 @@ class ProcessPool:
                 f"expected (N,) + {expected_tail} images, got {images.shape}"
             )
         n = images.shape[0]
+        if n:
+            # Reject bad pixels here, as ValueError, before a slot is
+            # taken — a worker would only report them as a task failure.
+            check_input_range(images)
         bucket = bucket_for(n, self.buckets)
         slot = self._acquire_slot()
         view = self._ring.input_view(slot, bucket, images.dtype)

@@ -45,7 +45,6 @@ def worker_main(
     task_queue,
     result_queue,
     trace_sample: Optional[int] = None,
-    lowering: str = "auto",
 ) -> None:
     """Entry point run inside each pool process (see module docstring)."""
     # The parent owns SIGINT (Ctrl-C must drain the pool, not massacre
@@ -58,10 +57,7 @@ def worker_main(
     ring = ShmRing(ring_spec, name=ring_name, create=False)
     journal = SpanJournal()
     tracer = Tracer(journal=journal) if trace_sample else None
-    plans = PlanCache(
-        accelerator, capacity=len(buckets) + 2, arena=arena,
-        lowering=lowering,
-    )
+    plans = PlanCache(accelerator, capacity=len(buckets) + 2, arena=arena)
     try:
         plans.prewarm(buckets)
     except Exception as exc:  # noqa: BLE001 - shipped to the parent

@@ -1,4 +1,4 @@
-"""The runtime layer: one config, one registry, five engines.
+"""The runtime layer: one config, one registry, three engines.
 
 Usage::
 
@@ -14,7 +14,7 @@ See :mod:`repro.runtime.config` for the knobs,
 and :mod:`repro.runtime.engines` for the built-in engines.
 """
 
-from repro.runtime.config import ExecutionConfig, deprecated_kwargs_config
+from repro.runtime.config import ExecutionConfig
 from repro.runtime.registry import (
     EngineCapabilities,
     EngineSpec,
@@ -28,7 +28,6 @@ from repro.runtime.registry import (
 
 __all__ = [
     "ExecutionConfig",
-    "deprecated_kwargs_config",
     "EngineCapabilities",
     "EngineSpec",
     "create_engine",

@@ -1,13 +1,12 @@
 """The one configuration object behind every inference path.
 
-Before this package existed the repo had five ways to run the same BNN
-— interpreted ``execute``, the planned ``blas``/``packed`` lowerings,
-thread-chunked ``predict`` and the multi-process pool — each reached
-through a different flag soup (``use_plan=``, ``mode="process"``,
-``chunk_size=``, ``num_workers=``, ``bucket_sizes=``). FINN's lesson is
-that one compiled representation should feed every deployment target;
-:class:`ExecutionConfig` is the single frozen value that names a target,
-and :mod:`repro.runtime.registry` maps it to an engine.
+The repo runs the compiled BNN three ways: the interpreted reference
+loop (the golden semantics), a precompiled float32-exact plan (the fast
+path), and planned batches fanned over a shared-memory process pool.
+FINN's lesson is that one compiled representation should feed every
+deployment target; :class:`ExecutionConfig` is the single frozen value
+that names a target, and :mod:`repro.runtime.registry` maps it to an
+engine.
 
 The dataclass is frozen and hashable on purpose: accelerators cache one
 engine instance per distinct config, so repeated ``predict`` calls with
@@ -16,35 +15,25 @@ the same config reuse plan caches, arenas and worker pools.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Optional, Tuple
 
-__all__ = ["ExecutionConfig", "deprecated_kwargs_config"]
+__all__ = ["ExecutionConfig"]
 
-_LOWERINGS = ("auto", "blas", "packed")
-_ISOLATIONS = ("none", "thread", "process")
+_ISOLATIONS = ("none", "process")
 
 
 @dataclass(frozen=True)
 class ExecutionConfig:
     """Every knob of the inference runtime, in one frozen value.
 
-    * ``engine`` — pin a registered engine by name; ``None`` lets the
-      registry resolve one from the remaining fields (the normal case).
-    * ``lowering`` — plan lowering: ``"auto"`` picks the exact-float32
-      BLAS lowering when the geometry allows, else packed; ``"blas"`` /
-      ``"packed"`` force one.
     * ``use_plan`` — route fixed-shape batches through precompiled
       :class:`~repro.hw.plan.ExecutionPlan` objects (default on);
       ``False`` keeps the interpreted reference datapath.
-    * ``packed_datapath`` — interpreted-path knob: ``False`` forces the
-      boolean reference stages (implies the interpreted engine),
-      ``None``/``True`` keep activations bit-packed where word-aligned.
-    * ``isolation`` / ``workers`` — worker topology: ``"process"`` fans
-      batches over a shared-memory :class:`~repro.parallel.ProcessPool`;
-      ``workers > 1`` without process isolation runs chunks
-      thread-parallel.
+    * ``isolation`` / ``workers`` — ``"process"`` fans batches over a
+      shared-memory :class:`~repro.parallel.ProcessPool` of ``workers``
+      processes. ``workers`` means pool processes, so setting it without
+      process isolation is rejected.
     * ``chunk_size`` — bound how many images flow through the datapath
       at once (memory ceiling for coalesced serving batches).
     * ``bucket_sizes`` / ``max_batch`` / ``slots`` — batch-shape buckets
@@ -53,10 +42,7 @@ class ExecutionConfig:
       into the worker span journals (``None`` = tracing off in workers).
     """
 
-    engine: Optional[str] = None
-    lowering: str = "auto"
     use_plan: bool = True
-    packed_datapath: Optional[bool] = None
     isolation: str = "none"
     workers: Optional[int] = None
     chunk_size: Optional[int] = None
@@ -66,10 +52,6 @@ class ExecutionConfig:
     trace_sample: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.lowering not in _LOWERINGS:
-            raise ValueError(
-                f"lowering must be one of {_LOWERINGS}, got {self.lowering!r}"
-            )
         if self.isolation not in _ISOLATIONS:
             raise ValueError(
                 f"isolation must be one of {_ISOLATIONS}, "
@@ -84,15 +66,15 @@ class ExecutionConfig:
             object.__setattr__(
                 self, "bucket_sizes", tuple(int(b) for b in self.bucket_sizes)
             )
+        if self.workers is not None and self.isolation != "process":
+            raise ValueError(
+                "workers sizes the process pool; set isolation='process' "
+                "to use it"
+            )
         if self.isolation == "process" and not self.use_plan:
             raise ValueError(
                 "process isolation runs precompiled plans; "
                 "use_plan=False is contradictory"
-            )
-        if self.isolation == "process" and self.packed_datapath is False:
-            raise ValueError(
-                "process isolation runs the packed planned datapath; "
-                "packed_datapath=False is contradictory"
             )
 
     def merged(self, **overrides) -> "ExecutionConfig":
@@ -107,43 +89,3 @@ class ExecutionConfig:
             value = getattr(self, f.name)
             out[f.name] = list(value) if isinstance(value, tuple) else value
         return out
-
-
-def deprecated_kwargs_config(
-    caller: str,
-    base: Optional[ExecutionConfig] = None,
-    *,
-    use_plan: Optional[bool] = None,
-    mode: Optional[str] = None,
-    stacklevel: int = 3,
-    **extra,
-) -> ExecutionConfig:
-    """Fold legacy ``use_plan=`` / ``mode=`` kwargs into a config.
-
-    Emits exactly **one** :class:`DeprecationWarning` per call site no
-    matter how many legacy kwargs were passed, then returns the
-    equivalent :class:`ExecutionConfig` — the shims in ``predict`` /
-    ``execute`` / the serving backends all funnel through here so the
-    mapping stays in one place.
-    """
-    if mode is not None and mode not in ("thread", "process"):
-        raise ValueError(f"mode must be 'thread' or 'process', got {mode!r}")
-    legacy = []
-    updates = {}
-    if use_plan is not None:
-        legacy.append(f"use_plan={use_plan!r}")
-        updates["use_plan"] = bool(use_plan)
-    if mode is not None:
-        legacy.append(f"mode={mode!r}")
-        updates["isolation"] = "process" if mode == "process" else "none"
-    if legacy:
-        warnings.warn(
-            f"{caller}({', '.join(legacy)}) is deprecated; pass "
-            f"execution=ExecutionConfig({', '.join(sorted(f'{k}={v!r}' for k, v in updates.items()))}) "
-            "instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-    config = base if base is not None else ExecutionConfig()
-    updates.update({k: v for k, v in extra.items() if v is not None})
-    return config.merged(**updates) if updates else config

@@ -1,4 +1,4 @@
-"""The built-in engines: five datapaths, one protocol.
+"""The built-in engines: three datapaths, one protocol.
 
 Each engine wraps one of the repo's inference paths behind the
 :class:`Engine` protocol — ``prepare`` binds (or compiles) the
@@ -10,21 +10,20 @@ uniformly regardless of which path served the batch.
 =================  =========================================================
 engine             datapath
 =================  =========================================================
-``interpreted``    stage-by-stage reference loop (boolean or bit-packed)
-``planned-blas``   precompiled plan, exact-float32 GEMM lowering
-``planned-packed`` precompiled plan, packed XNOR/popcount lowering
-``threaded``       interpreted chunks fanned over a thread pool
+``interpreted``    stage-by-stage reference loop (XNOR+popcount on packed
+                   rows; the golden semantics)
+``planned-blas``   precompiled plan, one float32-exact sgemm per stage
 ``process``        planned buckets over the shared-memory process pool
 =================  =========================================================
 
-All five are bit-exact against the interpreted reference — the
+All three are bit-exact against the interpreted reference — the
 cross-engine contract test in ``tests/test_runtime_contract.py`` holds
 every registered engine to that, ``return_bits`` traces included.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -40,7 +39,6 @@ __all__ = [
     "Engine",
     "InterpretedEngine",
     "PlannedEngine",
-    "ThreadedEngine",
     "ProcessEngine",
 ]
 
@@ -56,8 +54,7 @@ class Engine(Protocol):
         accelerator is bound yet, validate, and return self."""
         ...
 
-    def run(self, batch, *, return_bits: bool = False,
-            stage_seconds=None) -> np.ndarray:
+    def run(self, batch, *, return_bits: bool = False) -> np.ndarray:
         """Integer logits ``(N, classes)`` (plus per-stage bit traces
         with ``return_bits``) for a stacked image batch."""
         ...
@@ -122,6 +119,16 @@ class _BaseEngine:
     def _bind(self) -> None:
         """Engine-specific validation/warm-up hook."""
 
+    def _require_plannable(self) -> None:
+        from repro.hw.plan import plan_unsupported_reason
+
+        reason = plan_unsupported_reason(self.accelerator)
+        if reason is not None:
+            raise ValueError(
+                f"engine {self.name!r} cannot plan this accelerator: "
+                f"{reason}"
+            )
+
     def capabilities(self) -> EngineCapabilities:
         from repro.runtime.registry import engine_spec
 
@@ -148,67 +155,38 @@ class InterpretedEngine(_BaseEngine):
 
     name = "interpreted"
 
-    def run(self, batch, *, return_bits: bool = False, stage_seconds=None):
+    def run(self, batch, *, return_bits: bool = False):
         batch = _normalize(batch)
-        cfg = self.config
-        use_packed = cfg.packed_datapath
-        chunk = cfg.chunk_size
+        chunk = self.config.chunk_size
         if chunk is not None and return_bits:
             raise ValueError("chunk_size cannot be combined with return_bits")
-        tracer = get_tracer()
-        with self._span(tracer, batch.shape[0]):
+        run = self.accelerator._run_interpreted
+        with self._span(get_tracer(), batch.shape[0]):
             if chunk is not None and batch.shape[0] > chunk:
-                parts = [
-                    self.accelerator._run_interpreted(
-                        batch[start : start + chunk],
-                        use_packed=use_packed,
-                        stage_seconds=stage_seconds,
-                    )
+                return np.concatenate([
+                    run(batch[start : start + chunk])
                     for start in range(0, batch.shape[0], chunk)
-                ]
-                return np.concatenate(parts)
-            return self.accelerator._run_interpreted(
-                batch,
-                return_bits=return_bits,
-                use_packed=use_packed,
-                stage_seconds=stage_seconds,
-            )
+                ])
+            return run(batch, return_bits=return_bits)
 
 
 class PlannedEngine(_BaseEngine):
     """Precompiled allocation-free plans from the accelerator's cache.
 
-    ``lowering`` is fixed per engine (``blas``/``packed``); plans come
-    from the accelerator's shared :class:`~repro.hw.plan.PlanCache`, so
-    cache counters aggregate across engines and serving dashboards.
+    Plans come from the accelerator's shared
+    :class:`~repro.hw.plan.PlanCache`, so cache counters aggregate
+    across engines and serving dashboards.
     """
 
-    name = "planned"
-
-    def __init__(self, accelerator, config: ExecutionConfig,
-                 lowering: str) -> None:
-        super().__init__(accelerator, config)
-        self.lowering = lowering
-        self.name = f"planned-{lowering}"
+    name = "planned-blas"
 
     def _bind(self) -> None:
-        from repro.hw.plan import plan_unsupported_reason
-
-        reason = plan_unsupported_reason(self.accelerator)
-        if reason is not None:
-            raise ValueError(
-                f"engine {self.name!r} cannot plan this accelerator: "
-                f"{reason}"
-            )
+        self._require_plannable()
 
     def stats(self) -> dict:
-        return {
-            "engine": self.name,
-            "lowering": self.lowering,
-            **self.accelerator.plans.stats(),
-        }
+        return {"engine": self.name, **self.accelerator.plans.stats()}
 
-    def run(self, batch, *, return_bits: bool = False, stage_seconds=None):
+    def run(self, batch, *, return_bits: bool = False):
         batch = _normalize(batch)
         n = batch.shape[0]
         chunk = self.config.chunk_size
@@ -217,14 +195,13 @@ class PlannedEngine(_BaseEngine):
         tracer = get_tracer()
         with self._span(tracer, n):
             if chunk is not None and n > chunk:
-                parts = [
-                    self._run_one(batch[start : start + chunk], False, None)
+                return np.concatenate([
+                    self._run_one(batch[start : start + chunk], False)
                     for start in range(0, n, chunk)
-                ]
-                return np.concatenate(parts)
-            return self._run_one(batch, return_bits, stage_seconds)
+                ])
+            return self._run_one(batch, return_bits)
 
-    def _run_one(self, batch, return_bits, stage_seconds):
+    def _run_one(self, batch, return_bits):
         acc = self.accelerator
         n = batch.shape[0]
         if batch.shape[1:] != acc.input_shape:
@@ -235,7 +212,7 @@ class PlannedEngine(_BaseEngine):
         if n == 0:
             logits = np.zeros((0, acc.num_classes), dtype=np.int64)
             return (logits, []) if return_bits else logits
-        plan, cache_hit = acc.plans.get(n, lowering=self.lowering)
+        plan, cache_hit = acc.plans.get(n)
         tracer = get_tracer()
         parent = tracer.current_span() if tracer.enabled else None
         recording = parent is not None and parent.recording
@@ -262,77 +239,10 @@ class PlannedEngine(_BaseEngine):
                 return_bits=return_bits,
                 tracer=tracer if recording else None,
                 parent=plan_span,
-                stage_seconds=stage_seconds,
             )
         finally:
             if plan_span is not None:
                 plan_span.finish()
-
-
-class ThreadedEngine(_BaseEngine):
-    """Interpreted chunks fanned over a thread pool.
-
-    numpy releases the GIL in the pack/XNOR/popcount kernels, so chunks
-    genuinely overlap on multi-core hosts. Plans stay off here: pool
-    threads are short-lived, and plans are keyed per thread — each would
-    be compiled once and never reused.
-    """
-
-    name = "threaded"
-
-    def _bind(self) -> None:
-        if self.config.workers is None or self.config.workers < 2:
-            raise ValueError(
-                f"engine {self.name!r} needs workers >= 2, "
-                f"got {self.config.workers}"
-            )
-
-    def stats(self) -> dict:
-        return {"engine": self.name, "workers": self.config.workers}
-
-    def run(self, batch, *, return_bits: bool = False, stage_seconds=None):
-        if return_bits:
-            raise ValueError(
-                "thread-parallel chunks cannot re-stitch return_bits "
-                "traces; use the interpreted or planned engine"
-            )
-        batch = _normalize(batch)
-        n = batch.shape[0]
-        cfg = self.config
-        chunk = cfg.chunk_size
-        if chunk is None:
-            chunk = max(1, -(-n // cfg.workers))
-        tracer = get_tracer()
-        with self._span(tracer, n):
-            chunks = [batch[s : s + chunk] for s in range(0, max(n, 1), chunk)]
-            if len(chunks) == 1:
-                return self.accelerator._run_interpreted(
-                    batch,
-                    use_packed=cfg.packed_datapath,
-                    stage_seconds=stage_seconds,
-                )
-            import contextvars
-            from concurrent.futures import ThreadPoolExecutor
-
-            run = lambda part: self.accelerator._run_interpreted(  # noqa: E731
-                part, use_packed=cfg.packed_datapath
-            )
-            # Pool threads do not inherit the caller's context, which
-            # carries the current trace span — copy it per chunk so
-            # stage spans stay parented under the runtime span. One
-            # Context per chunk: a Context can only be entered by one
-            # thread at a time.
-            contexts = [contextvars.copy_context() for _ in chunks]
-            with ThreadPoolExecutor(
-                max_workers=min(cfg.workers, len(chunks))
-            ) as pool:
-                parts = list(
-                    pool.map(
-                        lambda job: job[0].run(run, job[1]),
-                        zip(contexts, chunks),
-                    )
-                )
-            return np.concatenate(parts)
 
 
 class ProcessEngine(_BaseEngine):
@@ -364,9 +274,11 @@ class ProcessEngine(_BaseEngine):
                 max_batch=cfg.max_batch,
                 slots=cfg.slots,
                 trace_sample=cfg.trace_sample,
-                lowering=cfg.lowering,
             )
         return self._pool
+
+    def _bind(self) -> None:
+        self._require_plannable()
 
     def stats(self) -> dict:
         if self._pool is None:
@@ -378,12 +290,7 @@ class ProcessEngine(_BaseEngine):
             self._pool.close()
             self._pool = None
 
-    def run(self, batch, *, return_bits: bool = False, stage_seconds=None):
-        if stage_seconds is not None:
-            raise ValueError(
-                "per-stage timing is not collected across process "
-                "boundaries; use a single-process engine"
-            )
+    def run(self, batch, *, return_bits: bool = False):
         batch = _normalize(batch)
         tracer = get_tracer()
         with self._span(tracer, batch.shape[0]):
@@ -402,21 +309,9 @@ register_engine(EngineSpec(
 ))
 register_engine(EngineSpec(
     name="planned-blas",
-    factory=lambda acc, cfg: PlannedEngine(acc, cfg, "blas"),
+    factory=PlannedEngine,
     capabilities=EngineCapabilities(bit_exact=True, zero_alloc=True),
-    summary="precompiled plans, exact-float32 GEMM lowering",
-))
-register_engine(EngineSpec(
-    name="planned-packed",
-    factory=lambda acc, cfg: PlannedEngine(acc, cfg, "packed"),
-    capabilities=EngineCapabilities(bit_exact=True, zero_alloc=True),
-    summary="precompiled plans, packed XNOR/popcount lowering",
-))
-register_engine(EngineSpec(
-    name="threaded",
-    factory=ThreadedEngine,
-    capabilities=EngineCapabilities(bit_exact=True),
-    summary="interpreted chunks fanned over a thread pool",
+    summary="precompiled plans, one float32-exact sgemm per stage",
 ))
 register_engine(EngineSpec(
     name="process",

@@ -10,20 +10,18 @@ drivers and the CLI all dispatch through here, so a future backend
 
 Resolution, in order:
 
-1. ``config.engine`` pins a registered engine by name.
-2. ``isolation="process"`` → ``process``.
-3. ``workers > 1`` → ``threaded`` (thread-parallel interpreted chunks).
-4. ``use_plan=False`` or ``packed_datapath=False`` → ``interpreted``.
-5. Models the planner cannot compile fall back to ``interpreted`` under
-   ``lowering="auto"`` (an explicit lowering raises instead).
-6. Otherwise ``planned-blas`` / ``planned-packed`` per the resolved
-   lowering (``auto`` picks BLAS when exact in float32).
+1. ``isolation="process"`` → ``process``.
+2. ``use_plan=False`` → ``interpreted``.
+3. Models the planner cannot compile (see
+   :func:`~repro.hw.plan.plan_unsupported_reason`, which includes the
+   float32-exactness bound) fall back to ``interpreted``.
+4. Otherwise ``planned-blas``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro.runtime.config import ExecutionConfig
 
@@ -122,31 +120,16 @@ def resolve_engine_name(
 ) -> str:
     """The engine a config lands on (see module docstring for rules)."""
     _ensure_builtins()
-    if config.engine is not None:
-        return engine_spec(config.engine).name
     if config.isolation == "process":
         return "process"
-    if config.workers is not None and config.workers > 1:
-        return "threaded"
-    if not config.use_plan or config.packed_datapath is False:
+    if not config.use_plan:
         return "interpreted"
-    lowering = config.lowering
     if accelerator is not None:
-        from repro.hw.plan import _resolve_lowering, plan_unsupported_reason
+        from repro.hw.plan import plan_unsupported_reason
 
         if plan_unsupported_reason(accelerator) is not None:
-            if lowering == "auto":
-                # Legacy predict semantics: silently keep the reference
-                # path for models the planner cannot compile.
-                return "interpreted"
-        elif lowering == "auto":
-            lowering = _resolve_lowering(accelerator, "auto")
-    if lowering == "auto":
-        raise ValueError(
-            "lowering='auto' needs an accelerator to resolve against; "
-            "pass one or pin lowering='blas'/'packed'"
-        )
-    return engine_spec(f"planned-{lowering}").name
+            return "interpreted"
+    return "planned-blas"
 
 
 def create_engine(accelerator, config: ExecutionConfig, **kwargs):

@@ -10,8 +10,8 @@ Two concrete backends ship:
 * :class:`ClassifierBackend` — the numpy float path of
   :class:`~repro.core.classifier.BinaryCoP` (chunked prediction keeps
   memory bounded for coalesced batches);
-* :class:`AcceleratorBackend` — the bit-packed XNOR integer datapath of
-  a compiled :class:`~repro.hw.compiler.FinnAccelerator`, which also
+* :class:`AcceleratorBackend` — the integer datapath of a compiled
+  :class:`~repro.hw.compiler.FinnAccelerator`, which also
   reports the *hardware-modelled* batch time from the pipeline cycle
   model so serving stats can be read against board-like rates.
 
@@ -126,7 +126,7 @@ class ClassifierBackend:
 
 
 class AcceleratorBackend:
-    """The compiled integer datapath (bit-packed XNOR simulation).
+    """The compiled integer datapath of a ``FinnAccelerator``.
 
     Besides functional inference, exposes :meth:`modelled_batch_seconds`
     — what the same micro-batch would cost on the board according to the
@@ -138,8 +138,7 @@ class AcceleratorBackend:
     dispatch through; repeated micro-batches of the same shape reuse one
     persistent arena per worker thread and allocate nothing.
     :meth:`plan_stats` surfaces the plan-cache counters for serving
-    dashboards. ``use_plan=`` is the **deprecated** spelling of
-    ``execution=ExecutionConfig(use_plan=...)``.
+    dashboards.
     """
 
     def __init__(
@@ -149,28 +148,17 @@ class AcceleratorBackend:
         chunk_size: int = 64,
         max_concurrency: Optional[int] = None,
         clock_mhz: float = 100.0,
-        num_workers: Optional[int] = None,
-        use_plan: Optional[bool] = None,
         execution=None,
     ) -> None:
-        from repro.runtime import ExecutionConfig, deprecated_kwargs_config
+        from repro.runtime import ExecutionConfig
 
         if chunk_size <= 0:
             raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        if num_workers is not None and num_workers <= 0:
-            raise ValueError(f"num_workers must be positive, got {num_workers}")
-        if use_plan is not None:
-            execution = deprecated_kwargs_config(
-                "AcceleratorBackend", execution, use_plan=use_plan,
-            )
-        elif execution is None:
-            execution = ExecutionConfig()
         self.accelerator = accelerator
         self.chunk_size = int(chunk_size)
-        self.num_workers = num_workers
-        self.execution = execution.merged(
-            chunk_size=self.chunk_size, workers=num_workers
-        )
+        self.execution = (
+            execution if execution is not None else ExecutionConfig()
+        ).merged(chunk_size=self.chunk_size)
         self.name = name or f"accelerator:{accelerator.name}"
         self.timing = analyze_pipeline(accelerator, clock_mhz)
         if max_concurrency is None:

@@ -195,27 +195,20 @@ class InferenceServer:
         cls,
         accelerator,
         config: Optional[ServingConfig] = None,
-        mode: Optional[str] = None,
         execution=None,
     ) -> "InferenceServer":
-        """Serve a compiled ``FinnAccelerator`` (bit-packed XNOR path).
+        """Serve a compiled ``FinnAccelerator``.
 
         ``execution`` (an :class:`~repro.runtime.ExecutionConfig`) picks
         the runtime engine: process isolation serves through a
         :class:`~repro.serving.backends.ProcessPoolBackend` — one plan
         cache per worker *process*, multi-core throughput (closed with
         the server) — anything else through an
-        :class:`~repro.serving.backends.AcceleratorBackend`. ``mode`` is
-        the **deprecated** spelling (``"process"`` maps to
-        ``isolation="process"``).
+        :class:`~repro.serving.backends.AcceleratorBackend`.
         """
-        from repro.runtime import ExecutionConfig, deprecated_kwargs_config
+        from repro.runtime import ExecutionConfig
 
-        if mode is not None:
-            execution = deprecated_kwargs_config(
-                "InferenceServer.from_accelerator", execution, mode=mode,
-            )
-        elif execution is None:
+        if execution is None:
             execution = ExecutionConfig()
         config = config or ServingConfig()
         if execution.isolation == "process":

@@ -30,7 +30,7 @@ class TestAcceleratorExport:
         path = export_accelerator(acc, tmp_path / "pkg")
         restored = load_accelerator(path)
         x = grid_images(6, hw=8, seed=11)
-        np.testing.assert_array_equal(restored.execute(x), acc.execute(x))
+        np.testing.assert_array_equal(restored.run(x), acc.run(x))
         assert restored.name == acc.name
         assert restored.folding() == acc.folding()
 

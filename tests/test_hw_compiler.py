@@ -20,7 +20,10 @@ from repro.nn.layers import (
     SignActivation,
 )
 from repro.nn.sequential import Sequential
+from repro.runtime import ExecutionConfig
 from repro.testing import make_tiny_bnn, randomize_bn_stats
+
+REFERENCE = ExecutionConfig(use_plan=False)
 
 
 @pytest.fixture()
@@ -126,13 +129,13 @@ class TestDatapath:
         """HW integer datapath == SW float path on uint8-grid pixels."""
         x = grid_batch()
         sw_logits = tiny_bnn.forward(x)
-        hw_logits = compiled.execute(x)
+        hw_logits = compiled.run(x, REFERENCE)
         np.testing.assert_array_equal(hw_logits, sw_logits.astype(np.int64))
 
     def test_intermediate_bits_match_sw(self, tiny_bnn, compiled):
         x = grid_batch(seed=1)
         tiny_bnn.forward(x, taps=("sign_conv1", "pool1"))
-        _, bits = compiled.execute(x, return_bits=True)
+        _, bits = compiled.run(x, REFERENCE, return_bits=True)
         np.testing.assert_array_equal(
             bits[0], tiny_bnn.tap_activations["sign_conv1"] > 0
         )
@@ -144,38 +147,40 @@ class TestDatapath:
         x = grid_batch(seed=2)
         acc1 = compile_model(tiny_bnn, FoldingConfig(pe=(1, 1, 1, 1), simd=(1, 1, 1, 1)))
         acc2 = compile_model(tiny_bnn, FoldingConfig(pe=(8, 4, 16, 4), simd=(3, 8, 4, 16)))
-        np.testing.assert_array_equal(acc1.execute(x), acc2.execute(x))
+        np.testing.assert_array_equal(
+            acc1.run(x, REFERENCE), acc2.run(x, REFERENCE)
+        )
 
     def test_single_image_accepted(self, compiled):
-        out = compiled.execute(grid_batch(n=1)[0])
+        out = compiled.run(grid_batch(n=1)[0], REFERENCE)
         assert out.shape == (1, 4)
 
     def test_predict_argmax(self, compiled):
         x = grid_batch(seed=3)
         np.testing.assert_array_equal(
-            compiled.predict(x), compiled.execute(x).argmax(axis=1)
+            compiled.predict(x), compiled.run(x, REFERENCE).argmax(axis=1)
         )
 
     def test_uint8_input_accepted(self, compiled):
         q = np.random.default_rng(4).integers(0, 256, (2, 8, 8, 3)).astype(np.uint8)
-        out_int = compiled.execute(q)
-        out_float = compiled.execute((q / 255.0).astype(np.float32))
+        out_int = compiled.run(q, REFERENCE)
+        out_float = compiled.run((q / 255.0).astype(np.float32), REFERENCE)
         np.testing.assert_array_equal(out_int, out_float)
 
     def test_input_shape_checked(self, compiled):
         with pytest.raises(ValueError, match="does not match"):
-            compiled.execute(np.zeros((1, 9, 9, 3), dtype=np.float32))
+            compiled.run(np.zeros((1, 9, 9, 3), dtype=np.float32), REFERENCE)
 
     def test_input_range_checked(self, compiled):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            compiled.execute(np.full((1, 8, 8, 3), 1.5, dtype=np.float32))
+            compiled.run(np.full((1, 8, 8, 3), 1.5, dtype=np.float32), REFERENCE)
         with pytest.raises(ValueError, match=r"\[0, 255\]"):
-            compiled.execute(np.full((1, 8, 8, 3), 300, dtype=np.int64))
+            compiled.run(np.full((1, 8, 8, 3), 300, dtype=np.int64), REFERENCE)
 
     def test_logits_are_even_integers(self, compiled):
         # Bipolar dot of even fan-in (16) is even — a structural sanity
         # check on the popcount-to-bipolar conversion.
-        logits = compiled.execute(grid_batch(seed=5))
+        logits = compiled.run(grid_batch(seed=5), REFERENCE)
         assert np.all(logits % 2 == 0)
 
 

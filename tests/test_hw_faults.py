@@ -11,7 +11,10 @@ from repro.hw.faults import (
     perturb_thresholds,
 )
 from repro.hw.bitpack import unpack_bits
+from repro.runtime import ExecutionConfig
 from repro.testing import grid_images, make_tiny_bnn, randomize_bn_stats
+
+REFERENCE = ExecutionConfig(use_plan=False)
 
 
 @pytest.fixture(scope="module")
@@ -30,12 +33,23 @@ def images():
 class TestFlipWeightBits:
     def test_zero_rate_is_identity(self, acc, images):
         faulty = flip_weight_bits(acc, 0.0, rng=0)
-        np.testing.assert_array_equal(faulty.execute(images), acc.execute(images))
+        np.testing.assert_array_equal(
+            faulty.run(images, REFERENCE), acc.run(images, REFERENCE)
+        )
 
     def test_original_untouched(self, acc, images):
-        before = acc.execute(images)
+        before = acc.run(images, REFERENCE)
         flip_weight_bits(acc, 0.5, rng=0)
-        np.testing.assert_array_equal(acc.execute(images), before)
+        np.testing.assert_array_equal(acc.run(images, REFERENCE), before)
+
+    def test_flipped_weights_reach_every_engine(self, acc, images):
+        # Warm the original's plan (and its cached sgemm weights) first:
+        # a clone must not keep computing with those stale operands.
+        clean = acc.run(images)
+        faulty = flip_weight_bits(acc, 1.0, rng=0)
+        reference = faulty.run(images, REFERENCE)
+        assert not np.array_equal(reference, clean)
+        np.testing.assert_array_equal(faulty.run(images), reference)
 
     def test_full_rate_negates_all_weights(self, acc):
         faulty = flip_weight_bits(acc, 1.0, rng=0)
@@ -70,7 +84,9 @@ class TestFlipWeightBits:
 class TestPerturbThresholds:
     def test_zero_rate_is_identity(self, acc, images):
         faulty = perturb_thresholds(acc, 0.0, rng=0)
-        np.testing.assert_array_equal(faulty.execute(images), acc.execute(images))
+        np.testing.assert_array_equal(
+            faulty.run(images, REFERENCE), acc.run(images, REFERENCE)
+        )
 
     def test_logits_stage_untouched(self, acc):
         faulty = perturb_thresholds(acc, 1.0, rng=0)

@@ -1,15 +1,12 @@
-"""Tests for the pack-once packed-domain datapath (PR 3).
+"""Tests for the datapath performance rework.
 
-Locks three properties of the performance rework:
+Locks two properties:
 
-1. the packed fast path (word-gathering SWU, OR-word pooling, packed
-   threshold outputs) is bit-exact against the boolean reference path,
-   per stage and end to end, for every Table I prototype;
-2. the rework did not move the numbers: golden logits captured from the
+1. the rework did not move the numbers: golden logits captured from the
    pre-change implementation on a fixed seed batch still come out
-   bit-identical;
-3. the new conveniences (empty batches, chunked/thread-parallel
-   prediction, the bench harness) behave and stay result-identical.
+   bit-identical through the interpreted reference;
+2. the conveniences (empty batches, chunked prediction, the vectorised
+   stream scan, the bench harness) behave and stay result-identical.
 """
 
 import json
@@ -20,12 +17,12 @@ import pytest
 from repro.cli import main
 from repro.core.architectures import build_architecture, table1_folding
 from repro.core.classifier import BinaryCoP
-from repro.hw.bitpack import pack_bits, unpack_bits
 from repro.hw.compiler import compile_model
-from repro.hw.maxpool_unit import MaxPoolUnit, MaxPoolUnitConfig
 from repro.hw.pipeline import simulate_stream
-from repro.hw.swu import SlidingWindowUnit, SWUConfig
+from repro.runtime import ExecutionConfig
 from repro.testing import randomize_bn_stats
+
+REFERENCE = ExecutionConfig(use_plan=False)
 
 PROTOTYPES = ("cnv", "n-cnv", "u-cnv")
 
@@ -56,35 +53,6 @@ def seed_batch():
     return np.random.default_rng(1234).random((4, 32, 32, 3)).astype(np.float32)
 
 
-class TestPackedVsBoolEquivalence:
-    @pytest.mark.parametrize("arch", PROTOTYPES)
-    def test_stage_traces_and_logits_identical(
-        self, prototype_accelerators, seed_batch, arch
-    ):
-        """Every per-stage bit map and the logits match the bool path."""
-        acc = prototype_accelerators[arch]
-        packed_logits, packed_trace = acc.execute(
-            seed_batch, return_bits=True, use_packed=True
-        )
-        bool_logits, bool_trace = acc.execute(
-            seed_batch, return_bits=True, use_packed=False
-        )
-        np.testing.assert_array_equal(packed_logits, bool_logits)
-        assert len(packed_trace) == len(bool_trace) == len(acc.stages)
-        for stage, p, b in zip(acc.stages, packed_trace, bool_trace):
-            assert p.shape == b.shape, stage.name
-            np.testing.assert_array_equal(p, b, err_msg=stage.name)
-
-    @pytest.mark.parametrize("arch", PROTOTYPES)
-    def test_default_path_is_packed_path(
-        self, prototype_accelerators, seed_batch, arch
-    ):
-        acc = prototype_accelerators[arch]
-        np.testing.assert_array_equal(
-            acc.execute(seed_batch), acc.execute(seed_batch, use_packed=True)
-        )
-
-
 class TestGoldenLogits:
     @pytest.mark.parametrize("arch", PROTOTYPES)
     def test_logits_unchanged_since_pre_packed_rework(
@@ -92,71 +60,9 @@ class TestGoldenLogits:
     ):
         """The perf rework must not move a single logit."""
         np.testing.assert_array_equal(
-            prototype_accelerators[arch].execute(seed_batch),
+            prototype_accelerators[arch].run(seed_batch, REFERENCE),
             np.array(GOLDEN_LOGITS[arch], dtype=np.int64),
         )
-
-
-class TestPackedSWU:
-    def _packed_map(self, n=2, hw=(6, 6), channels=64, seed=0):
-        rng = np.random.default_rng(seed)
-        bits = rng.random((n, *hw, channels)) < 0.5
-        return bits, pack_bits(bits)
-
-    def test_matches_boolean_gather(self):
-        bits, packed = self._packed_map()
-        cfg = SWUConfig(name="swu", in_hw=(6, 6), channels=64)
-        swu = SlidingWindowUnit(cfg)
-        rows = swu.execute_packed(packed)
-        np.testing.assert_array_equal(
-            unpack_bits(rows, dtype=bool),
-            swu.execute(bits).astype(bool),
-        )
-
-    def test_stride_two(self):
-        bits, packed = self._packed_map(hw=(8, 8), channels=128, seed=3)
-        cfg = SWUConfig(name="swu", in_hw=(8, 8), channels=128, stride=(2, 2))
-        swu = SlidingWindowUnit(cfg)
-        np.testing.assert_array_equal(
-            unpack_bits(swu.execute_packed(packed), dtype=bool),
-            swu.execute(bits).astype(bool),
-        )
-
-    def test_supports_packed_flag(self):
-        aligned = SWUConfig(name="a", in_hw=(6, 6), channels=128)
-        narrow = SWUConfig(name="b", in_hw=(6, 6), channels=16)
-        assert aligned.supports_packed
-        assert not narrow.supports_packed
-
-    def test_rejects_unaligned_channels(self):
-        cfg = SWUConfig(name="swu", in_hw=(6, 6), channels=16)
-        bits = np.zeros((1, 6, 6, 16), dtype=bool)
-        with pytest.raises(ValueError, match="word-aligned"):
-            SlidingWindowUnit(cfg).execute_packed(pack_bits(bits))
-
-    def test_rejects_wrong_geometry(self):
-        cfg = SWUConfig(name="swu", in_hw=(6, 6), channels=64)
-        bits = np.zeros((1, 5, 5, 64), dtype=bool)
-        with pytest.raises(ValueError, match="does not"):
-            SlidingWindowUnit(cfg).execute_packed(pack_bits(bits))
-
-
-class TestPackedPooling:
-    def test_matches_boolean_or(self):
-        rng = np.random.default_rng(5)
-        bits = rng.random((3, 4, 4, 64)) < 0.3
-        cfg = MaxPoolUnitConfig(name="pool", in_hw=(4, 4), channels=64)
-        unit = MaxPoolUnit(cfg)
-        pooled = unit.execute_packed(pack_bits(bits))
-        np.testing.assert_array_equal(
-            unpack_bits(pooled, dtype=bool), unit.execute(bits)
-        )
-
-    def test_rejects_wrong_shape(self):
-        cfg = MaxPoolUnitConfig(name="pool", in_hw=(4, 4), channels=64)
-        flat = pack_bits(np.zeros((2, 64), dtype=bool))
-        with pytest.raises(ValueError, match=r"\(n, H, W"):
-            MaxPoolUnit(cfg).execute_packed(flat)
 
 
 class TestEmptyBatch:
@@ -168,10 +74,10 @@ class TestEmptyBatch:
     def test_execute_empty(self, prototype_accelerators):
         acc = prototype_accelerators["u-cnv"]
         empty = np.zeros((0, 32, 32, 3), dtype=np.float32)
-        logits = acc.execute(empty)
+        logits = acc.run(empty, REFERENCE)
         assert logits.shape == (0, acc.num_classes)
         assert logits.dtype == np.int64
-        logits2, trace = acc.execute(empty, return_bits=True)
+        logits2, trace = acc.run(empty, REFERENCE, return_bits=True)
         assert logits2.shape == (0, acc.num_classes)
         assert trace == []
 
@@ -182,28 +88,13 @@ class TestEmptyBatch:
 
 
 class TestParallelPredict:
-    def test_accelerator_four_workers_matches_serial(
-        self, prototype_accelerators, seed_batch
-    ):
-        acc = prototype_accelerators["u-cnv"]
-        images = np.tile(seed_batch, (3, 1, 1, 1))  # 12 images, >=4 chunks
-        serial = acc.predict(images)
-        parallel = acc.predict(images, chunk_size=3, num_workers=4)
-        np.testing.assert_array_equal(parallel, serial)
-
-    def test_accelerator_auto_chunking(self, prototype_accelerators, seed_batch):
-        acc = prototype_accelerators["u-cnv"]
-        np.testing.assert_array_equal(
-            acc.predict(seed_batch, num_workers=4), acc.predict(seed_batch)
-        )
-
     def test_execute_chunked_matches_whole_batch(
         self, prototype_accelerators, seed_batch
     ):
         acc = prototype_accelerators["u-cnv"]
         np.testing.assert_array_equal(
-            acc.execute(seed_batch, chunk_size=1, num_workers=2),
-            acc.execute(seed_batch),
+            acc.run(seed_batch, REFERENCE.merged(chunk_size=1)),
+            acc.run(seed_batch, REFERENCE),
         )
 
     def test_classifier_four_workers_matches_serial(self, seed_batch):
@@ -221,9 +112,7 @@ class TestParallelPredict:
         clf.predict(np.tile(seed_batch, (2, 1, 1, 1)), chunk_size=2, num_workers=2)
         assert clf.model.training
 
-    def test_invalid_num_workers(self, prototype_accelerators, seed_batch):
-        with pytest.raises(ValueError, match="num_workers"):
-            prototype_accelerators["u-cnv"].predict(seed_batch, num_workers=0)
+    def test_invalid_num_workers(self, seed_batch):
         clf = BinaryCoP("u-cnv", rng=0)
         with pytest.raises(ValueError, match="num_workers"):
             clf.predict(seed_batch, num_workers=-1)

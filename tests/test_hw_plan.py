@@ -4,9 +4,8 @@ Locks the tentpole's contract:
 
 1. a compiled :class:`ExecutionPlan` is bit-exact against the
    interpreted datapath — logits *and* ``return_bits`` traces — for
-   every Table I prototype, under both GEMM lowerings and both input
-   dtypes, and the PR3 golden logits still come out identical through
-   ``predict(use_plan=True)``;
+   every Table I prototype under both input dtypes, and the PR3 golden
+   logits still come out identical through the planned ``run``;
 2. plan-cache keys invalidate on folding-config or batch-shape change,
    and a stale plan (arena cleared underneath it) is never reused;
 3. steady-state planned execution performs zero heap allocations
@@ -35,7 +34,10 @@ from repro.hw.plan import (
     plan_unsupported_reason,
 )
 from repro.nn.arena import BufferArena
+from repro.runtime import ExecutionConfig
 from repro.testing import randomize_bn_stats
+
+REFERENCE = ExecutionConfig(use_plan=False)
 
 PROTOTYPES = ("cnv", "n-cnv", "u-cnv")
 
@@ -67,26 +69,19 @@ def seed_batch():
 
 class TestBitExactness:
     @pytest.mark.parametrize("arch", PROTOTYPES)
-    @pytest.mark.parametrize("lowering", ("blas", "packed"))
-    def test_logits_match_interpreted(
-        self, accelerators, seed_batch, arch, lowering
-    ):
+    def test_logits_match_interpreted(self, accelerators, seed_batch, arch):
         acc = accelerators[arch]
-        plan = ExecutionPlan(acc, seed_batch.shape[0], lowering=lowering)
+        plan = ExecutionPlan(acc, seed_batch.shape[0])
         np.testing.assert_array_equal(
-            plan.execute(seed_batch),
-            acc.execute(seed_batch, use_plan=False),
+            plan.execute(seed_batch), acc.run(seed_batch, REFERENCE)
         )
 
     @pytest.mark.parametrize("arch", PROTOTYPES)
-    @pytest.mark.parametrize("lowering", ("blas", "packed"))
-    def test_return_bits_traces_match(
-        self, accelerators, seed_batch, arch, lowering
-    ):
+    def test_return_bits_traces_match(self, accelerators, seed_batch, arch):
         acc = accelerators[arch]
-        plan = ExecutionPlan(acc, seed_batch.shape[0], lowering=lowering)
-        ref_logits, ref_trace = acc.execute(
-            seed_batch, return_bits=True, use_plan=False
+        plan = ExecutionPlan(acc, seed_batch.shape[0])
+        ref_logits, ref_trace = acc.run(
+            seed_batch, REFERENCE, return_bits=True
         )
         logits, trace = plan.execute(seed_batch, return_bits=True)
         np.testing.assert_array_equal(logits, ref_logits)
@@ -102,7 +97,7 @@ class TestBitExactness:
         pixels = np.rint(seed_batch.astype(np.float64) * 255).astype(np.uint8)
         plan = ExecutionPlan(acc, pixels.shape[0])
         np.testing.assert_array_equal(
-            plan.execute(pixels), acc.execute(pixels, use_plan=False)
+            plan.execute(pixels), acc.run(pixels, REFERENCE)
         )
 
     @pytest.mark.parametrize("arch", PROTOTYPES)
@@ -111,7 +106,7 @@ class TestBitExactness:
     ):
         acc = accelerators[arch]
         np.testing.assert_array_equal(
-            acc.execute(seed_batch, use_plan=True),
+            acc.run(seed_batch),
             np.array(GOLDEN_LOGITS[arch], dtype=np.int64),
         )
         np.testing.assert_array_equal(
@@ -169,7 +164,7 @@ class TestPlanKey:
         )
         np.testing.assert_array_equal(
             ExecutionPlan(other, 4).execute(batch),
-            other.execute(batch, use_plan=False),
+            other.run(batch, REFERENCE),
         )
 
     def test_key_is_deterministic(self, shared_accelerator):
@@ -259,7 +254,7 @@ class TestPlanCache:
 
     def test_accelerator_deepcopy_resets_the_cache(self, seed_batch):
         acc = build_accelerator("u-cnv")
-        acc.execute(seed_batch, use_plan=True)  # populate the plan cache
+        acc.run(seed_batch)  # populate the plan cache
         assert acc.plans.stats()["plans"] == 1
         clone = copy.deepcopy(acc)
         assert clone.plans.stats() == {
@@ -267,7 +262,7 @@ class TestPlanCache:
             "arena_bytes": 0,
         }
         np.testing.assert_array_equal(
-            clone.execute(seed_batch), acc.execute(seed_batch)
+            clone.run(seed_batch), acc.run(seed_batch)
         )
 
 
@@ -320,8 +315,8 @@ class TestTelemetry:
         journal = SpanJournal()
         activate(Tracer(journal=journal))
         try:
-            acc.execute(seed_batch, use_plan=True)
-            acc.execute(seed_batch, use_plan=True)
+            acc.run(seed_batch)
+            acc.run(seed_batch)
         finally:
             deactivate()
         plans = [
@@ -343,8 +338,8 @@ class TestTelemetry:
         journal = SpanJournal()
         activate(Tracer(journal=journal))
         try:
-            acc.execute(seed_batch, use_plan=True)
-            acc.execute(seed_batch, use_plan=True)
+            acc.run(seed_batch)
+            acc.run(seed_batch)
         finally:
             deactivate()
         summary = summarize_spans(journal.snapshot())

@@ -25,6 +25,7 @@ from repro.nn.layers import (
     SignActivation,
 )
 from repro.nn.sequential import Sequential
+from repro.runtime import ExecutionConfig
 from repro.testing import grid_images, randomize_bn_stats
 
 EXAMPLES = sorted(
@@ -64,8 +65,8 @@ class TestEndToEnd:
         restored = BinaryCoP.load(path)
         images = tiny_splits.test.images[:16]
         np.testing.assert_array_equal(
-            restored.deploy().execute(images),
-            trained_tiny_classifier.deploy().execute(images),
+            restored.deploy().run(images),
+            trained_tiny_classifier.deploy().run(images),
         )
 
     def test_faults_on_trained_accelerator(self, trained_tiny_classifier, tiny_splits):
@@ -120,9 +121,9 @@ def test_compiler_fuzz_bit_exactness(hw, c1, c2, fc, seed):
     model.eval()
     acc = compile_model(model, FoldingConfig(pe=(1, 1, 1, 1), simd=(1, 1, 1, 1)))
     x = grid_images(3, hw=hw, seed=seed)
-    np.testing.assert_array_equal(
-        acc.execute(x), model.forward(x).astype(np.int64)
-    )
+    sw_logits = model.forward(x).astype(np.int64)
+    for execution in (ExecutionConfig(use_plan=False), ExecutionConfig()):
+        np.testing.assert_array_equal(acc.run(x, execution), sw_logits)
 
 
 class TestExamplesSmoke:

@@ -101,13 +101,14 @@ class TestXnorCompile:
     def test_scales_fold_into_thresholds_exactly(self):
         """XNOR-Net hidden layers deploy with zero hardware overhead."""
         from repro.hw.compiler import FoldingConfig, compile_model
+        from repro.runtime import ExecutionConfig
 
         m = self._model()
         acc = compile_model(m, FoldingConfig(pe=(1, 1, 1), simd=(1, 1, 1)))
         x = grid_images(6, hw=8)
-        np.testing.assert_array_equal(
-            acc.execute(x), m.forward(x).astype(np.int64)
-        )
+        sw_logits = m.forward(x).astype(np.int64)
+        for execution in (ExecutionConfig(use_plan=False), ExecutionConfig()):
+            np.testing.assert_array_equal(acc.run(x, execution), sw_logits)
 
     def test_xnor_logits_layer_rejected(self):
         from repro.hw.compiler import FoldingConfig, compile_model

