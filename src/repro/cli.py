@@ -25,10 +25,7 @@ Wraps the library's main workflows for shell users:
 * ``lockgraph`` — dump the whole-program lock-acquisition-order graph
   (DOT or JSON); exits non-zero when the graph has a cycle;
 * ``verify-model`` — static model-graph verification of the registered
-  architectures against their Table I foldings;
-* ``bench``    — throughput measurement (kernels, per-stage wall time,
-  end-to-end FPS) recorded as a trajectory in ``BENCH_throughput.json``
-  with regression detection against the previous run.
+  architectures against their Table I foldings.
 """
 
 from __future__ import annotations
@@ -226,35 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_engines.add_argument("--format", default="table",
                            choices=("table", "json"),
                            help="output format (default: table)")
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="perf-regression benchmark: kernels, stages, end-to-end FPS",
-    )
-    p_bench.add_argument("--archs", nargs="+", default=list(BINARY_ARCHS),
-                         choices=BINARY_ARCHS)
-    p_bench.add_argument("--out", type=Path,
-                         default=Path("BENCH_throughput.json"),
-                         help="trajectory file to append to and compare "
-                              "against")
-    p_bench.add_argument("--images", type=int, default=16,
-                         help="batch size for the end-to-end timing")
-    p_bench.add_argument("--repeats", type=int, default=2,
-                         help="best-of repeats per timed section")
-    p_bench.add_argument("--tolerance", type=float, default=0.25,
-                         help="allowed fractional slowdown vs the previous "
-                              "run before the bench fails")
-    p_bench.add_argument("--smoke", action="store_true",
-                         help="tiny CI sanity run: validates the result "
-                              "schema (and --out, if present) without "
-                              "recording a trajectory entry")
-    p_bench.add_argument("--no-fail", action="store_true",
-                         help="report regressions without a non-zero exit")
-    p_bench.add_argument("--sections", nargs="+", metavar="SECTION",
-                         help="run only these sections (e.g. kernels e2e "
-                              "plan); section-limited runs are printed but "
-                              "not recorded in the trajectory")
-    p_bench.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -719,74 +687,6 @@ def _cmd_engines(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro.benchmarking import (
-        BENCH_SECTIONS,
-        append_run,
-        compare_to_best,
-        load_doc,
-        render_comparison,
-        render_run,
-        run_bench,
-        save_doc,
-    )
-
-    sections = None
-    if args.sections:
-        unknown = sorted(set(args.sections) - set(BENCH_SECTIONS))
-        if unknown:
-            print(
-                f"error: unknown bench section(s): {', '.join(unknown)} "
-                f"(known: {', '.join(BENCH_SECTIONS)})",
-                file=sys.stderr,
-            )
-            return 2
-        sections = tuple(args.sections)
-    partial = sections is not None and set(sections) != set(BENCH_SECTIONS)
-
-    if args.smoke:
-        run = run_bench(smoke=True, seed=args.seed, sections=sections)
-        print(render_run(run))
-        if args.out.exists():
-            try:
-                load_doc(args.out)  # validates the recorded trajectory
-            except ValueError as exc:
-                print(f"error: {args.out}: {exc}", file=sys.stderr)
-                return 1
-            print(f"{args.out}: schema OK")
-        print("smoke bench OK (no trajectory entry recorded)")
-        return 0
-    run = run_bench(
-        archs=tuple(args.archs),
-        images=args.images,
-        repeats=args.repeats,
-        seed=args.seed,
-        sections=sections,
-    )
-    print(render_run(run))
-    doc = load_doc(args.out)
-    regressed = False
-    if doc is not None:
-        # Gate against the best prior run of the same label: a smoke run
-        # (or one slow outlier) in the trajectory must not set the bar.
-        records = compare_to_best(doc["runs"], run, tolerance=args.tolerance)
-        print(render_comparison(records))
-        regressed = any(rec["regressed"] for rec in records)
-    if partial:
-        print(
-            "section-limited run: not recorded in the trajectory "
-            f"(sections: {', '.join(run['sections'])})"
-        )
-    else:
-        doc = append_run(doc, run)
-        save_doc(doc, args.out)
-        print(f"recorded run {len(doc['runs'])} in {args.out}")
-    if regressed and not args.no_fail:
-        print("error: throughput regressed beyond tolerance", file=sys.stderr)
-        return 1
-    return 0
-
-
 _COMMANDS = {
     "train": _cmd_train,
     "evaluate": _cmd_evaluate,
@@ -801,7 +701,6 @@ _COMMANDS = {
     "lockgraph": _cmd_lockgraph,
     "verify-model": _cmd_verify_model,
     "engines": _cmd_engines,
-    "bench": _cmd_bench,
 }
 
 

@@ -13,8 +13,7 @@ geometry), it
 * binds every intermediate to a persistent
   :class:`~repro.nn.arena.BufferArena` view, so steady-state execution
   performs **zero heap allocations** (``out=``-form kernels end to end;
-  verified by :func:`measure_steady_state` and the ``perf``-marked CI
-  gate), and
+  verified by :func:`measure_steady_state` in a tier-1 test), and
 * **fuses** each MVTU→threshold→maxpool chain into one super-stage:
   OR-pooling thresholded bits commutes with thresholding pooled
   accumulators (``OR(acc_i >= t) == max(acc_i) >= t`` for normal

@@ -1,7 +1,7 @@
 """The built-in engines: three datapaths, one protocol.
 
 Each engine wraps one of the repo's inference paths behind the
-:class:`Engine` protocol — ``prepare`` binds (or compiles) the
+:class:`Engine` protocol — ``prepare`` validates the bound
 accelerator, ``run`` executes a batch, ``capabilities`` declares the
 guarantees, ``stats`` surfaces the engine's counters. Every ``run``
 opens a ``runtime.<engine>`` telemetry span so traces name the engine
@@ -49,9 +49,8 @@ class Engine(Protocol):
 
     name: str
 
-    def prepare(self, model=None, folding=None, geometry=None) -> "Engine":
-        """Bind the engine: compile ``model`` under ``folding`` when no
-        accelerator is bound yet, validate, and return self."""
+    def prepare(self) -> "Engine":
+        """Validate the bound accelerator and return self."""
         ...
 
     def run(self, batch, *, return_bits: bool = False) -> np.ndarray:
@@ -74,45 +73,19 @@ def _normalize(batch) -> np.ndarray:
 
 
 class _BaseEngine:
-    """Shared prepare/telemetry plumbing for the built-in engines."""
+    """Shared prepare/run/telemetry plumbing for the built-in engines.
+
+    ``run`` owns the chunk loop and the ``runtime.<engine>`` span;
+    subclasses supply ``_run_one`` for a single (unchunked) batch.
+    """
 
     name = "base"
 
     def __init__(self, accelerator, config: ExecutionConfig) -> None:
         self.config = config
-        self._accelerator = accelerator
+        self.accelerator = accelerator
 
-    @property
-    def accelerator(self):
-        if self._accelerator is None:
-            raise RuntimeError(
-                f"engine {self.name!r} is unbound; call prepare(model, "
-                "folding) or construct it with an accelerator"
-            )
-        return self._accelerator
-
-    def prepare(self, model=None, folding=None, geometry=None):
-        if model is not None:
-            from repro.core.architectures import table1_folding
-            from repro.hw.compiler import compile_model, mvtu_geometry
-
-            if folding is None:
-                arch = getattr(model, "architecture", None)
-                if arch is None:
-                    raise ValueError(
-                        "prepare(model) needs a folding (or a model with "
-                        "an .architecture for the Table I default)"
-                    )
-                folding = table1_folding(arch)
-            if geometry is not None:
-                want = mvtu_geometry(model)
-                if list(geometry) != list(want):
-                    raise ValueError(
-                        "geometry does not match the model's MVTU "
-                        f"geometry ({len(geometry)} vs {len(want)} units)"
-                    )
-            self._accelerator = compile_model(model, folding)
-        self.accelerator  # raises when still unbound
+    def prepare(self):
         self._bind()
         return self
 
@@ -149,25 +122,33 @@ class _BaseEngine:
             },
         )
 
+    def run(self, batch, *, return_bits: bool = False):
+        batch = _normalize(batch)
+        n = batch.shape[0]
+        chunk = self.config.chunk_size
+        if chunk is not None and return_bits:
+            raise ValueError("chunk_size cannot be combined with return_bits")
+        with self._span(get_tracer(), n):
+            if chunk is not None and n > chunk:
+                return np.concatenate([
+                    self._run_one(batch[start : start + chunk], False)
+                    for start in range(0, n, chunk)
+                ])
+            return self._run_one(batch, return_bits)
+
+    def _run_one(self, batch, return_bits):
+        raise NotImplementedError
+
 
 class InterpretedEngine(_BaseEngine):
     """The stage-by-stage reference datapath (optionally chunked)."""
 
     name = "interpreted"
 
-    def run(self, batch, *, return_bits: bool = False):
-        batch = _normalize(batch)
-        chunk = self.config.chunk_size
-        if chunk is not None and return_bits:
-            raise ValueError("chunk_size cannot be combined with return_bits")
-        run = self.accelerator._run_interpreted
-        with self._span(get_tracer(), batch.shape[0]):
-            if chunk is not None and batch.shape[0] > chunk:
-                return np.concatenate([
-                    run(batch[start : start + chunk])
-                    for start in range(0, batch.shape[0], chunk)
-                ])
-            return run(batch, return_bits=return_bits)
+    def _run_one(self, batch, return_bits):
+        return self.accelerator._run_interpreted(
+            batch, return_bits=return_bits
+        )
 
 
 class PlannedEngine(_BaseEngine):
@@ -185,21 +166,6 @@ class PlannedEngine(_BaseEngine):
 
     def stats(self) -> dict:
         return {"engine": self.name, **self.accelerator.plans.stats()}
-
-    def run(self, batch, *, return_bits: bool = False):
-        batch = _normalize(batch)
-        n = batch.shape[0]
-        chunk = self.config.chunk_size
-        if chunk is not None and return_bits:
-            raise ValueError("chunk_size cannot be combined with return_bits")
-        tracer = get_tracer()
-        with self._span(tracer, n):
-            if chunk is not None and n > chunk:
-                return np.concatenate([
-                    self._run_one(batch[start : start + chunk], False)
-                    for start in range(0, n, chunk)
-                ])
-            return self._run_one(batch, return_bits)
 
     def _run_one(self, batch, return_bits):
         acc = self.accelerator

@@ -6,15 +6,12 @@ Locks two properties:
    pre-change implementation on a fixed seed batch still come out
    bit-identical through the interpreted reference;
 2. the conveniences (empty batches, chunked prediction, the vectorised
-   stream scan, the bench harness) behave and stay result-identical.
+   stream scan) behave and stay result-identical.
 """
-
-import json
 
 import numpy as np
 import pytest
 
-from repro.cli import main
 from repro.core.architectures import build_architecture, table1_folding
 from repro.core.classifier import BinaryCoP
 from repro.hw.compiler import compile_model
@@ -135,25 +132,3 @@ class TestSimulateStreamScan:
                 sim = simulate_stream(acc, num_images)
                 np.testing.assert_array_equal(sim["start"], ref_start)
                 np.testing.assert_array_equal(sim["finish"], ref_finish)
-
-
-class TestBenchCLI:
-    def test_smoke_passes_and_validates_existing_doc(self, tmp_path):
-        out = tmp_path / "BENCH_throughput.json"
-        assert main(["bench", "--smoke", "--out", str(out)]) == 0
-        # Smoke mode records nothing.
-        assert not out.exists()
-
-    def test_smoke_rejects_malformed_doc(self, tmp_path):
-        out = tmp_path / "BENCH_throughput.json"
-        out.write_text(json.dumps({"schema": "wrong", "runs": []}))
-        assert main(["bench", "--smoke", "--out", str(out)]) == 1
-
-    def test_smoke_run_shape(self):
-        from repro.benchmarking import run_bench, validate_run
-
-        run = run_bench(smoke=True)
-        validate_run(run)
-        assert "pack_bits" in run["kernels"]
-        assert "xnor_gemm" in run["kernels"]
-        assert run["e2e"]["u-cnv"]["fps"] > 0

@@ -487,55 +487,3 @@ class TestPickling:
         clone = pickle.loads(pickle.dumps(tiny_acc))
         assert clone._plan_cache is None and clone._engines == {}
         assert np.array_equal(clone.run(tiny_batch, REFERENCE), ref)
-
-
-# ---------------------------------------------------------------------------
-# benchmark gating across hosts
-# ---------------------------------------------------------------------------
-class TestBenchCpuCountGate:
-    @staticmethod
-    def _run(cpu_count, fps):
-        return {
-            "timestamp": 1.0,
-            "label": "full",
-            "cpu_count": cpu_count,
-            "e2e": {"u-cnv": {"images": 4, "seconds": 4 / fps, "fps": fps}},
-        }
-
-    def test_refuses_to_gate_across_core_counts(self):
-        from repro.benchmarking import compare_to_best
-
-        prior_4core = self._run(cpu_count=4, fps=2000.0)
-        cur_1core = self._run(cpu_count=1, fps=500.0)
-        assert compare_to_best([prior_4core], cur_1core) == []
-        # no recorded cpu_count never gates a run that has one
-        legacy = self._run(cpu_count=4, fps=2000.0)
-        del legacy["cpu_count"]
-        assert compare_to_best([legacy], cur_1core) == []
-
-    def test_gates_within_same_core_count(self):
-        from repro.benchmarking import compare_to_best
-
-        prior = self._run(cpu_count=1, fps=1000.0)
-        cur = self._run(cpu_count=1, fps=500.0)
-        records = compare_to_best([prior], cur)
-        assert len(records) == 1
-        assert records[0]["metric"] == "e2e.u-cnv.fps"
-        assert records[0]["regressed"]
-
-    def test_parallel_section_compares_only_equal_worker_counts(self):
-        from repro.benchmarking import compare_runs
-
-        def run(workers, fps):
-            par = {
-                "supported": True,
-                "workers": workers,
-                "single": {"seconds": 0.01, "fps": 400.0},
-                "pool": {"seconds": 0.01, "fps": fps},
-            }
-            return {"timestamp": 1.0, "label": "full", "parallel": par}
-
-        same = compare_runs(run(4, 1000.0), run(4, 900.0))
-        assert any(r["metric"] == "parallel.pool.fps" for r in same)
-        cross = compare_runs(run(4, 1000.0), run(1, 300.0))
-        assert not any("parallel" in r["metric"] for r in cross)

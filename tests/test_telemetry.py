@@ -711,57 +711,3 @@ class TestCli:
         assert main(["metrics"]) == 0
         doc_text = capsys.readouterr().out
         assert doc_text == "\n" or doc_text.strip() == ""
-
-
-# ---------------------------------------------------------------------------
-# bench schema extension
-# ---------------------------------------------------------------------------
-class TestBenchTelemetrySection:
-    def _run_with_telemetry(self):
-        return {
-            "timestamp": 0.0, "label": "t", "kernels": {
-                "pack_bits": {"seconds": 0.1, "gbits_per_s": 1.0},
-                "unpack_bits": {"seconds": 0.1, "gbits_per_s": 1.0},
-                "xnor_gemm": {"x": {"seconds": 0.1, "gops_per_s": 1.0}},
-            },
-            "stages": {"u-cnv": [{"name": "s", "seconds": 0.1}]},
-            "e2e": {"u-cnv": {"images": 1, "seconds": 0.1, "fps": 10.0}},
-            "telemetry": {
-                "arch": "u-cnv", "images": 2,
-                "baseline": {"seconds": 0.1, "fps": 20.0},
-                "off": {"seconds": 0.1, "fps": 20.0,
-                        "overhead_vs_baseline": 0.0},
-                "sampled": {"sample_every": 64, "seconds": 0.1, "fps": 19.0,
-                            "overhead_vs_off": 0.05, "spans": 8},
-                "full": {"sample_every": 1, "seconds": 0.11, "fps": 18.0,
-                         "overhead_vs_off": 0.10, "spans": 16},
-            },
-        }
-
-    def test_validate_and_render(self):
-        from repro.benchmarking import render_run, validate_run
-
-        run = self._run_with_telemetry()
-        validate_run(run)
-        text = render_run(run)
-        assert "telemetry off" in text
-        assert "telemetry sampled" in text
-
-    def test_validate_rejects_malformed_section(self):
-        from repro.benchmarking import validate_run
-
-        run = self._run_with_telemetry()
-        del run["telemetry"]["sampled"]["overhead_vs_off"]
-        with pytest.raises(ValueError, match="overhead_vs_off"):
-            validate_run(run)
-
-    def test_compare_runs_covers_telemetry(self):
-        from repro.benchmarking import compare_runs
-
-        prev = self._run_with_telemetry()
-        cur = self._run_with_telemetry()
-        cur["telemetry"]["full"]["fps"] = 9.0  # halved throughput
-        records = compare_runs(prev, cur, tolerance=0.25)
-        by_metric = {r["metric"]: r for r in records}
-        assert by_metric["telemetry.off.fps"]["regressed"] is False
-        assert by_metric["telemetry.full.fps"]["regressed"] is True
