@@ -57,8 +57,8 @@ def main() -> None:
     clf = trained_classifier("n-cnv", splits=dataset_cached(),
                              dataset_key={"default_dataset": True})
     backend = AcceleratorBackend(clf.deploy())
-    config = ServingConfig(max_batch_size=16, max_wait_ms=5.0,
-                           queue_capacity=128, num_workers=2)
+    config = ServingConfig(max_batch_size=16, queue_capacity=128,
+                           num_workers=2)
     tiles = face_tile_pool(16, rng=args.seed)
 
     # 1. Activate tracing. Everything downstream — server, workers, the

@@ -110,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--pool-workers", type=int, default=None,
                        help="process-pool worker count (default: one per "
                             "physical core, capped at 4)")
-        p.add_argument("--max-wait-ms", type=float, default=5.0)
         p.add_argument("--queue-capacity", type=int, default=256)
         p.add_argument("--workers", type=int, default=2)
         p.add_argument("--timeout-ms", type=float, default=None,
@@ -325,7 +324,6 @@ def _build_server(args):
     print(f"loaded {clf.architecture} from {args.model}")
     config = ServingConfig(
         max_batch_size=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         queue_capacity=args.queue_capacity,
         num_workers=args.workers,
         default_timeout_s=(

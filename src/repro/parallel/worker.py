@@ -2,7 +2,8 @@
 
 One worker = one process = one :class:`~repro.hw.plan.PlanCache` bound
 to one :class:`~repro.parallel.shm.SharedArena`. At startup the worker
-attaches the parent-created segments, pre-compiles a plan per configured
+attaches the parent-created segments, sets BLAS to one thread (the
+processes are the parallelism), pre-compiles a plan per configured
 bucket size (so the first real request never pays a compile), then loops
 on its private task queue:
 
@@ -52,6 +53,11 @@ def worker_main(
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     from repro.hw.plan import PlanCache, measure_steady_state
     from repro.telemetry import SpanJournal, Tracer
+    from repro.utils.blas import set_blas_threads
+
+    # The pool's processes are its parallelism: BLAS helper threads in
+    # every worker would oversubscribe the cores.
+    set_blas_threads(1)
 
     arena = SharedArena(0, name=arena_name, create=False)
     ring = ShmRing(ring_spec, name=ring_name, create=False)

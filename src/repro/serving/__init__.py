@@ -3,11 +3,12 @@
 The request path the paper's deployment scenarios imply but never
 specify: gate cameras submit single face tiles, a bounded admission
 queue applies explicit backpressure (reject-with-reason, priority
-shedding under overload), a micro-batcher coalesces traffic up to
-``max_batch_size`` or ``max_wait_ms`` — whichever comes first — and a
-worker pool executes batches on pluggable backends (the numpy
-``BinaryCoP`` path, the bit-packed XNOR ``FinnAccelerator`` simulator)
-with per-backend concurrency derived from the Table I folding. Every
+shedding under overload), a work-conserving micro-batcher hands a free
+worker everything already queued (up to ``max_batch_size``) without
+holding a batch open, and a worker pool executes batches on pluggable
+backends (the numpy ``BinaryCoP`` path, the bit-packed XNOR
+``FinnAccelerator`` simulator) with per-backend concurrency derived from
+the Table I folding and BLAS single-threaded inside the workers. Every
 outcome — completion, rejection, shed, timeout, failure — is explicit
 and counted by the metrics registry.
 

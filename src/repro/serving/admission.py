@@ -49,7 +49,7 @@ class Admission:
 class AdmissionQueue:
     """Bounded priority queue feeding the micro-batcher.
 
-    ``offer`` never blocks; ``pop`` blocks up to a timeout. ``close``
+    ``offer`` never blocks; ``pop_many`` blocks up to a timeout. ``close``
     wakes every popper and makes further offers fail with
     ``SHUTTING_DOWN``.
     """
@@ -117,20 +117,21 @@ class AdmissionQueue:
         return victim_idx
 
     # -- consumer side -------------------------------------------------------
-    def pop(self, timeout: Optional[float] = None) -> Optional[InferenceRequest]:
-        """Highest-priority request, blocking up to ``timeout`` seconds.
+    def pop_many(
+        self, max_n: int, timeout: Optional[float] = None
+    ) -> List[InferenceRequest]:
+        """Up to ``max_n`` requests in priority-then-FIFO order.
 
-        Returns ``None`` on timeout or when the queue is closed and
-        drained.
+        Blocks up to ``timeout`` seconds only while the queue is empty,
+        then takes everything already queued (at most ``max_n``) under
+        one acquisition of the lock. Returns ``[]`` on timeout or when
+        the queue is closed and drained.
         """
         with self._not_empty:
-            if not self._heap:
-                if self._closed:
-                    return None
+            if not self._heap and not self._closed:
                 self._not_empty.wait(timeout)
-            if not self._heap:
-                return None
-            return heapq.heappop(self._heap)[2]
+            n = min(max_n, len(self._heap))
+            return [heapq.heappop(self._heap)[2] for _ in range(n)]
 
     def depth(self) -> int:
         with self._lock:

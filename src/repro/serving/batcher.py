@@ -1,13 +1,14 @@
-"""Dynamic micro-batching: coalesce requests by size *or* deadline.
+"""Work-conserving micro-batching: batch size follows the queue.
 
 FINN-style streaming accelerators (and, less dramatically, numpy GEMMs)
-reach their rated throughput only when fed full batches — but a gate
-camera submits one face at a time. The micro-batcher resolves the
-tension: a batch closes as soon as it holds ``max_batch_size`` requests
-(**size trigger**, the bulk-throughput path) or once ``max_wait_ms`` has
-elapsed since its first request (**deadline trigger**, bounding the
-latency a lone request can pay to at most the wait window plus one
-inference).
+reach their rated throughput only on full batches, but a gate camera
+submits one face at a time. The micro-batcher never holds a batch open
+to wait for more traffic: a free worker blocks for the first request,
+then takes everything already queued (up to ``max_batch_size``) and
+dispatches at once. A lone request therefore pays one inference, not a
+wait window; under load requests queue while every worker is busy, so
+the next free worker takes a larger batch. This is the batch-when-busy
+policy of adaptive batching (Crankshaw et al., *Clipper*, NSDI 2017).
 
 Requests whose per-request deadline expires while queued are resolved as
 TIMED_OUT here, at collection time — they never occupy a batch slot.
@@ -44,7 +45,6 @@ class MicroBatcher:
         self,
         queue: AdmissionQueue,
         max_batch_size: int = 32,
-        max_wait_ms: float = 5.0,
         on_timeout: Optional[Callable[[InferenceRequest], None]] = None,
         clock: Clock = MONOTONIC,
         buckets: Optional[Sequence[int]] = None,
@@ -53,11 +53,8 @@ class MicroBatcher:
             raise ValueError(
                 f"max_batch_size must be positive, got {max_batch_size}"
             )
-        if max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
         self.queue = queue
         self.max_batch_size = int(max_batch_size)
-        self.max_wait_s = float(max_wait_ms) / 1e3
         self.buckets: Optional[Tuple[int, ...]] = (
             validate_buckets(buckets, self.max_batch_size)
             if buckets is not None
@@ -88,31 +85,22 @@ class MicroBatcher:
     def next_batch(
         self, poll_timeout_s: float = 0.05
     ) -> List[InferenceRequest]:
-        """The next micro-batch (possibly empty if the queue stayed idle).
+        """The next micro-batch (empty if the queue stayed idle).
 
-        Blocks up to ``poll_timeout_s`` for the *first* request; once one
-        arrives, keeps collecting until the size trigger
-        (``max_batch_size`` reached → returns immediately) or the
-        deadline trigger (``max_wait_ms`` since the first admit) fires.
+        Blocks up to ``poll_timeout_s`` for the first request, then takes
+        what is already queued, up to ``max_batch_size``, and returns
+        without waiting for more. Dead requests (expired, cancelled) are
+        filtered and their slots refilled from the queue, never waited
+        for.
         """
         batch: List[InferenceRequest] = []
-        close_at: Optional[float] = None
-        while True:
-            if close_at is None:
-                request = self.queue.pop(timeout=poll_timeout_s)
-                if request is None:
-                    return batch  # idle poll expired (or queue closed)
-            else:
-                remaining = close_at - self._clock.monotonic()
-                if remaining <= 0:
-                    return batch  # deadline trigger
-                request = self.queue.pop(timeout=remaining)
-                if request is None:
-                    if self.queue.closed or self._clock.monotonic() >= close_at:
-                        return batch
-                    continue  # spurious wakeup; deadline not reached yet
-            self._admit(request, batch)
-            if batch and close_at is None:
-                close_at = self._clock.monotonic() + self.max_wait_s
-            if len(batch) >= self.max_batch_size:
-                return batch  # size trigger
+        while len(batch) < self.max_batch_size:
+            requests = self.queue.pop_many(
+                self.max_batch_size - len(batch),
+                timeout=0.0 if batch else poll_timeout_s,
+            )
+            if not requests:
+                break
+            for request in requests:
+                self._admit(request, batch)
+        return batch

@@ -2,16 +2,17 @@
 
 :class:`InferenceServer` is the paper's deployment story turned into a
 request path: gate cameras (or any caller) submit single face tiles,
-admission control applies explicit backpressure, the micro-batcher
-coalesces traffic so the backend runs near its batched rate, and every
-outcome is observable through :meth:`InferenceServer.stats`.
+admission control applies explicit backpressure, the work-conserving
+micro-batcher dispatches as soon as a worker is free (taking whatever has
+queued meanwhile, so batch size follows load), and every outcome is
+observable through :meth:`InferenceServer.stats`.
 
 Typical use::
 
     from repro.serving import InferenceServer, ServingConfig
 
     server = InferenceServer.from_classifier(clf, ServingConfig(
-        max_batch_size=32, max_wait_ms=5.0, queue_capacity=256))
+        max_batch_size=32, queue_capacity=256))
     with server:                       # starts workers, stops on exit
         handle = server.submit(image)  # never blocks; may be rejected
         label = handle.result(timeout=1.0)
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -55,13 +56,15 @@ __all__ = ["ServingConfig", "InferenceServer"]
 class ServingConfig:
     """Knobs of the serving layer (validated eagerly).
 
-    * ``max_batch_size`` / ``max_wait_ms`` — the micro-batcher's size and
-      deadline triggers: a lone request waits at most ``max_wait_ms``
-      before inference starts, bulk traffic is coalesced up to
-      ``max_batch_size``.
+    * ``max_batch_size`` — the largest batch a free worker takes from
+      the queue. The batcher never waits to fill it: a lone request is
+      dispatched at once, and requests that queue while every worker is
+      busy are coalesced up to this size.
     * ``queue_capacity`` — the admission bound; arrivals beyond it are
       rejected (or shed lower-priority work when ``allow_shedding``).
-    * ``num_workers`` — batcher/backend driver threads.
+    * ``num_workers`` — batcher/backend driver threads. They are the
+      server's parallelism: BLAS runs on one thread inside them while
+      the server is up.
     * ``default_timeout_s`` — per-request deadline applied when
       ``submit`` does not specify one (``None`` = no deadline).
     * ``bucket_sizes`` — optional batch-shape buckets: formed batches
@@ -73,7 +76,6 @@ class ServingConfig:
     """
 
     max_batch_size: int = 32
-    max_wait_ms: float = 5.0
     queue_capacity: int = 256
     num_workers: int = 2
     default_timeout_s: Optional[float] = None
@@ -87,8 +89,6 @@ class ServingConfig:
             raise ValueError(
                 f"max_batch_size must be positive, got {self.max_batch_size}"
             )
-        if self.max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
         if self.queue_capacity <= 0:
             raise ValueError(
                 f"queue_capacity must be positive, got {self.queue_capacity}"
@@ -157,7 +157,6 @@ class InferenceServer:
         self._batcher = MicroBatcher(
             self._queue,
             max_batch_size=self.config.max_batch_size,
-            max_wait_ms=self.config.max_wait_ms,
             on_timeout=lambda _req: self.metrics.increment("timed_out"),
             buckets=self.config.bucket_sizes,
         )

@@ -7,9 +7,14 @@ saturated or *failing* primary). Per-backend
 :class:`threading.BoundedSemaphore` s enforce the concurrency limits the
 backends derive from their Table I folding.
 
+The worker threads are the server's parallelism, so while the pool runs
+BLAS runs on one thread inside them (:mod:`repro.utils.blas`): OpenBLAS
+helper threads on top of the workers would oversubscribe the cores.
+
 Every request the pool touches leaves in a terminal state: COMPLETED
 with a label, TIMED_OUT if its deadline fired in the queue, or FAILED
-carrying the last backend error if every backend raised.
+with the reason if its batch could not be stacked or every backend
+raised. No batch can kill a worker thread.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from repro.serving.batcher import MicroBatcher
 from repro.serving.metrics import MetricsRegistry
 from repro.serving.request import InferenceRequest, RequestStatus
 from repro.telemetry.tracing import NOOP_SPAN, get_tracer
+from repro.utils import blas
 
 __all__ = ["WorkerPool"]
 
@@ -69,9 +75,11 @@ class WorkerPool:
         return sum(1 for t in self._threads if t.is_alive())
 
     def start(self) -> None:
+        """Start the workers; BLAS runs single-threaded until :meth:`stop`."""
         if self._threads:
             raise RuntimeError("worker pool already started")
         self._stop.clear()
+        blas.hold_single_thread()
         for i in range(self.num_workers):
             t = threading.Thread(
                 target=self._loop, name=f"serving-worker-{i}", daemon=True
@@ -80,10 +88,16 @@ class WorkerPool:
             self._threads.append(t)
 
     def stop(self, timeout: Optional[float] = 10.0) -> None:
-        """Signal workers to exit after their current batch and join them."""
+        """Signal workers to exit after their current batch and join them.
+
+        Releases this pool's hold on single-threaded BLAS; the last pool
+        to stop restores the thread count found at the first start.
+        """
         self._stop.set()
         for t in self._threads:
             t.join(timeout=timeout)
+        if self._threads:
+            blas.release_single_thread()
         self._threads = []
 
     # -- the work ------------------------------------------------------------
@@ -113,35 +127,16 @@ class WorkerPool:
         return primary, primary_slot
 
     def _execute(self, batch: List[InferenceRequest]) -> None:
+        # The batcher dispatches what it collects at once, so its expiry
+        # check stands for this one; begin() drops requests cancelled
+        # since.
         now_batch: List[InferenceRequest] = []
         for request in batch:
-            # The deadline may have lapsed while the batch was held open
-            # for its max_wait window — enforce it up to the moment
-            # inference actually starts.
-            if request.expired():
-                if request.resolve(
-                    RequestStatus.TIMED_OUT,
-                    detail="deadline expired awaiting batch execution",
-                ):
-                    self.metrics.increment("timed_out")
-                continue
             if request.begin():
                 self.metrics.observe_queue_wait(request.queue_wait_s)
                 now_batch.append(request)
         if not now_batch:
             return
-        images = np.stack([r.image for r in now_batch])
-        bucket = self.batcher.bucket_for(len(now_batch))
-        if bucket is not None and bucket > len(now_batch):
-            # Pad up to the bucket geometry so shape-keyed backends (the
-            # plan caches) see a fixed set of batch shapes; the pad rows'
-            # labels are sliced off below.
-            pad = np.zeros(
-                (bucket - len(now_batch),) + images.shape[1:], images.dtype
-            )
-            images = np.concatenate([images, pad])
-            self.metrics.increment("padded_images", bucket - len(now_batch))
-        self.metrics.observe_batch(len(now_batch))
 
         # The batch span parents under the first traced request and
         # *links* to the rest — a micro-batch belongs to one trace tree
@@ -166,6 +161,20 @@ class WorkerPool:
         last_error: Optional[BaseException] = None
         tried: List[str] = []
         try:
+            # Stacking and padding stay inside the try: a malformed image
+            # fails its batch with the reason, never the worker thread.
+            images = np.stack([r.image for r in now_batch])
+            bucket = self.batcher.bucket_for(len(now_batch))
+            if bucket is not None and bucket > len(now_batch):
+                # Pad up to the bucket geometry so shape-keyed backends
+                # (the plan caches) see a fixed set of batch shapes; the
+                # pad rows' labels are sliced off below.
+                pad = np.zeros(
+                    (bucket - len(now_batch),) + images.shape[1:], images.dtype
+                )
+                images = np.concatenate([images, pad])
+                self.metrics.increment("padded_images", bucket - len(now_batch))
+            self.metrics.observe_batch(len(now_batch))
             for attempt in range(len(self.backends)):
                 if attempt == 0:
                     backend, slot = self._acquire_backend()
@@ -210,17 +219,17 @@ class WorkerPool:
                 batch_span.set_attribute("backend", backend.name)
                 self._complete(now_batch, labels, backend.name)
                 return
-            for request in now_batch:
-                if request.resolve(
-                    RequestStatus.FAILED,
-                    error=last_error,
-                    detail=(
-                        f"all backends failed ({', '.join(tried)}): {last_error}"
-                    ),
-                ):
-                    self.metrics.increment("failed")
+            detail = f"all backends failed ({', '.join(tried)}): {last_error}"
+        except Exception as exc:  # noqa: BLE001 — fail the batch, keep the worker
+            last_error = exc
+            detail = f"batch could not be run: {exc}"
         finally:
             batch_span.finish()
+        for request in now_batch:
+            if request.resolve(
+                RequestStatus.FAILED, error=last_error, detail=detail
+            ):
+                self.metrics.increment("failed")
 
     def _complete(
         self, batch: List[InferenceRequest], labels: np.ndarray, backend_name: str

@@ -25,7 +25,6 @@ class TestParser:
         args = build_parser().parse_args(["serve", "--model", "m.npz"])
         assert args.backend == "software"
         assert args.max_batch == 32
-        assert args.max_wait_ms == 5.0
         assert args.rate == 200.0
 
     def test_train_defaults(self):

@@ -445,7 +445,7 @@ class TestPoolFaults:
 class TestServingIntegration:
     def test_process_mode_server_pads_and_matches_reference(self, tiny_acc):
         config = ServingConfig(
-            max_batch_size=8, max_wait_ms=20.0, num_workers=1,
+            max_batch_size=8, num_workers=1,
             bucket_sizes=(4, 8),
         )
         server = InferenceServer.from_accelerator(

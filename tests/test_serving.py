@@ -9,8 +9,12 @@ trained tiny classifier and checks served labels against direct
 
 from __future__ import annotations
 
+import dataclasses
+import sys
 import threading
 import time
+import typing
+from typing import Optional, Tuple
 
 import numpy as np
 import pytest
@@ -77,16 +81,63 @@ class TestAdmissionQueue:
         q = AdmissionQueue(capacity=8)
         first, second = make_request(0.1), make_request(0.2)
         assert q.offer(first) and q.offer(second)
-        assert q.pop(0.1) is first
-        assert q.pop(0.1) is second
+        assert q.pop_many(1, 0.1) == [first]
+        assert q.pop_many(1, 0.1) == [second]
 
     def test_priority_order(self):
+        # One pop_many takes the batch priority first, FIFO within a level.
         q = AdmissionQueue(capacity=8)
-        low, high = make_request(priority=0), make_request(priority=5)
-        q.offer(low)
-        q.offer(high)
-        assert q.pop(0.1) is high
-        assert q.pop(0.1) is low
+        low1, low2 = make_request(priority=0), make_request(priority=0)
+        high1, high2 = make_request(priority=5), make_request(priority=5)
+        mid = make_request(priority=2)
+        for r in (low1, high1, mid, low2, high2):
+            q.offer(r)
+        assert q.pop_many(4, 0.1) == [high1, high2, mid, low1]
+        assert q.pop_many(4, 0.1) == [low2]
+        assert q.depth() == 0
+
+    def test_concurrent_pop_many_hands_out_each_request_once(self):
+        # More consumers than cores and a short switch interval: a lost
+        # update in pop_many would duplicate or drop a request.
+        n_producers, per_producer, n_consumers = 4, 300, 4
+        q = AdmissionQueue(capacity=n_producers * per_producer)
+        offered = [
+            [make_request() for _ in range(per_producer)]
+            for _ in range(n_producers)
+        ]
+        popped = [[] for _ in range(n_consumers)]
+        done = threading.Event()
+
+        def produce(requests):
+            for r in requests:
+                assert q.offer(r)
+
+        def consume(out):
+            while not (done.is_set() and q.depth() == 0):
+                out.extend(q.pop_many(7, timeout=0.01))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            consumers = [
+                threading.Thread(target=consume, args=(out,)) for out in popped
+            ]
+            producers = [
+                threading.Thread(target=produce, args=(rs,)) for rs in offered
+            ]
+            for t in consumers + producers:
+                t.start()
+            for t in producers:
+                t.join(timeout=30.0)
+            done.set()
+            for t in consumers:
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in consumers + producers)
+        got = [r.request_id for out in popped for r in out]
+        want = [r.request_id for rs in offered for r in rs]
+        assert sorted(got) == sorted(want)
 
     def test_full_queue_rejects_with_reason(self):
         q = AdmissionQueue(capacity=2)
@@ -130,7 +181,7 @@ class TestAdmissionQueue:
         leftovers = q.close()
         assert leftovers == [r]
         assert q.offer(make_request()).reason is RejectionReason.SHUTTING_DOWN
-        assert q.pop(0.01) is None
+        assert q.pop_many(4, 0.01) == []
 
     def test_validates_capacity(self):
         with pytest.raises(ValueError, match="capacity"):
@@ -140,32 +191,47 @@ class TestAdmissionQueue:
 # ---------------------------------------------------------------------------
 # micro-batcher
 # ---------------------------------------------------------------------------
+class RecordingQueue(AdmissionQueue):
+    """An admission queue that records every ``pop_many`` timeout."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.timeouts = []
+
+    def pop_many(self, max_n, timeout=None):
+        self.timeouts.append(timeout)
+        return super().pop_many(max_n, timeout)
+
+
 class TestMicroBatcher:
     def test_size_trigger_returns_immediately(self):
         q = AdmissionQueue(capacity=16)
-        batcher = MicroBatcher(q, max_batch_size=4, max_wait_ms=10_000)
+        batcher = MicroBatcher(q, max_batch_size=4)
         for _ in range(6):
             q.offer(make_request())
         start = time.monotonic()
-        batch = batcher.next_batch()
-        elapsed = time.monotonic() - start
-        assert len(batch) == 4  # size trigger, not the huge wait
-        assert elapsed < 1.0
-        assert len(batcher.next_batch()) == 2  # deadline trigger drains rest
+        assert len(batcher.next_batch(poll_timeout_s=10.0)) == 4
+        assert len(batcher.next_batch(poll_timeout_s=10.0)) == 2
+        # Both batches came from what was queued; neither waited for more.
+        assert time.monotonic() - start < 1.0
 
-    def test_deadline_trigger_bounds_lone_request(self):
-        q = AdmissionQueue(capacity=16)
-        batcher = MicroBatcher(q, max_batch_size=64, max_wait_ms=40.0)
-        q.offer(make_request())
+    def test_lone_request_returns_without_waiting(self):
+        q = RecordingQueue(capacity=16)
+        batcher = MicroBatcher(q, max_batch_size=64)
+        r = make_request()
+        q.offer(r)
         start = time.monotonic()
-        batch = batcher.next_batch()
-        elapsed = time.monotonic() - start
-        assert len(batch) == 1
-        assert 0.035 <= elapsed < 0.5  # waited ~max_wait_ms, no longer
+        batch = batcher.next_batch(poll_timeout_s=10.0)
+        assert batch == [r]
+        assert time.monotonic() - start < 1.0
+        # Only the pop for the first request may block; once it arrived
+        # the batcher looks for company without waiting for it.
+        assert q.timeouts[0] == 10.0
+        assert all(t == 0.0 for t in q.timeouts[1:])
 
     def test_idle_poll_returns_empty(self):
         q = AdmissionQueue(capacity=4)
-        batcher = MicroBatcher(q, max_batch_size=4, max_wait_ms=5.0)
+        batcher = MicroBatcher(q, max_batch_size=4)
         assert batcher.next_batch(poll_timeout_s=0.01) == []
 
     def test_expired_requests_resolved_not_batched(self):
@@ -175,8 +241,7 @@ class TestMicroBatcher:
         q = AdmissionQueue(capacity=4)
         timeouts = []
         batcher = MicroBatcher(
-            q, max_batch_size=4, max_wait_ms=0.0,
-            on_timeout=timeouts.append, clock=clock,
+            q, max_batch_size=4, on_timeout=timeouts.append, clock=clock,
         )
         dead = make_request(timeout_s=0.01, now=clock.monotonic())
         live = make_request(now=clock.monotonic())
@@ -188,21 +253,31 @@ class TestMicroBatcher:
         assert dead.status is RequestStatus.TIMED_OUT
         assert timeouts == [dead]
 
+    def test_dead_requests_do_not_take_batch_slots(self):
+        q = AdmissionQueue(capacity=8)
+        batcher = MicroBatcher(q, max_batch_size=2)
+        cancelled, live = make_request(), [make_request(), make_request()]
+        for r in [cancelled] + live:
+            q.offer(r)
+        assert cancelled.cancel()
+        # The first pop takes the cancelled request and live[0]; the
+        # freed slot refills from the queue in the same call.
+        assert batcher.next_batch(poll_timeout_s=10.0) == live
+        assert q.depth() == 0
+
     def test_cancelled_requests_skipped(self):
         q = AdmissionQueue(capacity=4)
-        batcher = MicroBatcher(q, max_batch_size=4, max_wait_ms=5.0)
+        batcher = MicroBatcher(q, max_batch_size=4)
         r = make_request()
         q.offer(r)
         assert r.cancel()
-        assert batcher.next_batch() == []
+        assert batcher.next_batch(poll_timeout_s=0.01) == []
         assert r.status is RequestStatus.CANCELLED
 
     def test_validates_config(self):
         q = AdmissionQueue(capacity=4)
         with pytest.raises(ValueError, match="max_batch_size"):
             MicroBatcher(q, max_batch_size=0)
-        with pytest.raises(ValueError, match="max_wait_ms"):
-            MicroBatcher(q, max_wait_ms=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +329,7 @@ class TestBackends:
 def serve_with(backends, config=None, n=8, **submit_kwargs):
     """Spin up a server on stub backends, push n requests, return handles."""
     server = InferenceServer(backends, config or ServingConfig(
-        max_batch_size=4, max_wait_ms=2.0, queue_capacity=64, num_workers=2
+        max_batch_size=4, queue_capacity=64, num_workers=2
     ))
     rng = np.random.default_rng(0)
     with server:
@@ -300,7 +375,7 @@ class TestWorkerPoolAndServer:
         # for the second submission's 30 ms deadline to expire in-queue.
         slow = StubBackend(delay_s=0.2, max_concurrency=1)
         config = ServingConfig(
-            max_batch_size=1, max_wait_ms=0.0, queue_capacity=8, num_workers=1
+            max_batch_size=1, queue_capacity=8, num_workers=1
         )
         server = InferenceServer([slow], config)
         img = np.zeros((4, 4, 3), dtype=np.float32)
@@ -316,7 +391,7 @@ class TestWorkerPoolAndServer:
     def test_queue_full_rejects_explicitly(self):
         slow = StubBackend(delay_s=0.3, max_concurrency=1)
         config = ServingConfig(
-            max_batch_size=1, max_wait_ms=0.0, queue_capacity=2,
+            max_batch_size=1, queue_capacity=2,
             num_workers=1, allow_shedding=False,
         )
         server = InferenceServer([slow], config)
@@ -337,7 +412,7 @@ class TestWorkerPoolAndServer:
     def test_priority_shedding_under_overload(self):
         slow = StubBackend(delay_s=0.3, max_concurrency=1)
         config = ServingConfig(
-            max_batch_size=1, max_wait_ms=0.0, queue_capacity=2, num_workers=1
+            max_batch_size=1, queue_capacity=2, num_workers=1
         )
         server = InferenceServer([slow], config)
         img = np.zeros((4, 4, 3), dtype=np.float32)
@@ -421,7 +496,7 @@ class TestWorkerPoolAndServer:
     def test_sync_predict_roundtrip(self):
         stub = StubBackend()
         server = InferenceServer([stub], ServingConfig(
-            max_batch_size=8, max_wait_ms=1.0, queue_capacity=32
+            max_batch_size=8, queue_capacity=32
         ))
         images = np.random.default_rng(3).random((5, 4, 4, 3)).astype(np.float32)
         with server:
@@ -432,7 +507,7 @@ class TestWorkerPoolAndServer:
     def test_stop_rejects_undrained_requests(self):
         stub = StubBackend(delay_s=0.05, max_concurrency=1)
         server = InferenceServer([stub], ServingConfig(
-            max_batch_size=1, max_wait_ms=0.0, queue_capacity=64, num_workers=1
+            max_batch_size=1, queue_capacity=64, num_workers=1
         ))
         img = np.zeros((4, 4, 3), dtype=np.float32)
         server.start()
@@ -454,6 +529,34 @@ class TestWorkerPoolAndServer:
         server = InferenceServer([StubBackend()])
         with pytest.raises(ValueError, match="one \\(H, W, C\\) image"):
             server.submit(np.zeros((4, 4), dtype=np.float32))
+
+    def test_malformed_image_fails_its_batch_not_the_worker(self):
+        # One wrong-shape tile among good ones makes np.stack raise. The
+        # batch resolves FAILED with the reason; the worker survives.
+        config = ServingConfig(max_batch_size=32, num_workers=2)
+        server = InferenceServer([StubBackend()], config)
+        good = np.zeros((4, 4, 3), dtype=np.float32)
+        # Queued before start, so the first worker takes all 17 at once.
+        handles = [server.submit(good) for _ in range(16)]
+        handles.append(server.submit(np.zeros((2, 2, 3), dtype=np.float32)))
+        with server:
+            handles[-1].wait(timeout=10.0)
+            statuses = [h.wait(timeout=1.0) for h in handles]
+            assert RequestStatus.RUNNING not in statuses
+            assert RequestStatus.PENDING not in statuses
+            assert statuses[-1] is RequestStatus.FAILED
+            assert "could not be run" in handles[-1].detail
+            workers = next(p for p in server.health().probes if p.name == "workers")
+            assert workers.detail == "2/2 worker threads alive"
+            after = server.submit(good)
+            assert after.wait(timeout=10.0) is RequestStatus.COMPLETED
+        assert server.stats().failed == statuses.count(RequestStatus.FAILED)
+
+    def test_config_type_hints_resolve(self):
+        hints = typing.get_type_hints(ServingConfig)
+        assert hints["bucket_sizes"] == Optional[Tuple[int, ...]]
+        assert len(dataclasses.fields(ServingConfig)) == 8
+        assert "bucket_sizes" in typing.get_type_hints(ExecutionConfig)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="max_batch_size"):
@@ -540,7 +643,7 @@ class TestEndToEnd:
         tiles = face_tile_pool(6, rng=11)
         expected = trained_tiny_classifier.predict(tiles)
         config = ServingConfig(
-            max_batch_size=8, max_wait_ms=4.0, queue_capacity=32, num_workers=2
+            max_batch_size=8, queue_capacity=32, num_workers=2
         )
         with InferenceServer.from_classifier(trained_tiny_classifier, config) as server:
             labels = server.predict(tiles, timeout=60.0)
@@ -552,7 +655,7 @@ class TestEndToEnd:
     def test_open_loop_run_is_deterministically_seeded(self, trained_tiny_classifier):
         tiles = face_tile_pool(4, rng=11)
         config = ServingConfig(
-            max_batch_size=8, max_wait_ms=2.0, queue_capacity=64, num_workers=2
+            max_batch_size=8, queue_capacity=64, num_workers=2
         )
         offered = []
         for _ in range(2):
@@ -566,7 +669,7 @@ class TestEndToEnd:
 
     def test_accelerator_fallback_server_builds(self, trained_tiny_classifier):
         config = ServingConfig(
-            max_batch_size=4, max_wait_ms=2.0, queue_capacity=16, num_workers=1
+            max_batch_size=4, queue_capacity=16, num_workers=1
         )
         server = InferenceServer.from_classifier(
             trained_tiny_classifier, config, with_accelerator_fallback=True
@@ -591,7 +694,7 @@ class TestSoak:
         reaches a terminal state, and the server shuts down cleanly."""
         stub = StubBackend(delay_s=0.002, max_concurrency=2)
         config = ServingConfig(
-            max_batch_size=8, max_wait_ms=1.0, queue_capacity=16, num_workers=2
+            max_batch_size=8, queue_capacity=16, num_workers=2
         )
         server = InferenceServer([stub], config)
         rng = np.random.default_rng(0)

@@ -388,7 +388,7 @@ class TestExport:
     def test_server_stats_exported(self):
         backend = _StubBackend()
         server = InferenceServer([backend], ServingConfig(
-            max_batch_size=4, max_wait_ms=1.0, queue_capacity=16,
+            max_batch_size=4, queue_capacity=16,
             num_workers=1,
         ))
         images = np.zeros((3, 4, 4, 3), dtype=np.float32)
@@ -469,7 +469,7 @@ class TestHealthProbes:
 
     def test_server_health_and_ready(self):
         server = InferenceServer([_StubBackend()], ServingConfig(
-            max_batch_size=4, max_wait_ms=1.0, queue_capacity=16,
+            max_batch_size=4, queue_capacity=16,
             num_workers=2,
         ))
         assert not server.ready()  # not started yet
@@ -491,7 +491,7 @@ class TestServingTraces:
         tracer, journal = make_tracer()
         activate(tracer)
         server = InferenceServer([_StubBackend()], ServingConfig(
-            max_batch_size=4, max_wait_ms=1.0, queue_capacity=16,
+            max_batch_size=4, queue_capacity=16,
             num_workers=1,
         ))
         images = np.zeros((4, 4, 4, 3), dtype=np.float32)
@@ -519,7 +519,7 @@ class TestServingTraces:
 
     def test_untraced_server_records_nothing(self):
         server = InferenceServer([_StubBackend()], ServingConfig(
-            max_batch_size=4, max_wait_ms=1.0, queue_capacity=16,
+            max_batch_size=4, queue_capacity=16,
             num_workers=1,
         ))
         images = np.zeros((2, 4, 4, 3), dtype=np.float32)
