@@ -15,7 +15,7 @@ sets its initiation interval in the streaming pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from repro.hw.bitpack import PackedBits, pack_bits, unpack_bits
 from repro.hw.thresholding import ThresholdSpec, apply_thresholds
 from repro.hw.xnor_kernels import bipolar_from_popcount, xnor_matmul_popcount
 
-__all__ = ["MVTUConfig", "MVTU"]
+__all__ = ["MVTUConfig", "MVTU", "BlasOperands"]
 
 
 @dataclass(frozen=True)
@@ -85,6 +85,21 @@ class MVTUConfig:
         return self.rows * self.cols
 
 
+class BlasOperands(NamedTuple):
+    """One MVTU lowered to an execution plan's float32 sgemm.
+
+    ``weights`` is ``(cols, rows)``. A thresholded unit's output bit for
+    channel ``c`` is ``acc[c] >= thresholds[c]`` (int64), with ``acc``
+    the product of ``weights`` and the stage's operand: the raw pixels
+    for the 8-bit unit, 0/1 activations for binary ones. The logits
+    unit has no thresholds; its logits are ``acc - offsets``.
+    """
+
+    weights: np.ndarray
+    thresholds: Optional[np.ndarray]
+    offsets: Optional[np.ndarray]
+
+
 class MVTU:
     """A functional + timed MVTU instance.
 
@@ -127,7 +142,7 @@ class MVTU:
         bad = (weights != 1) & (weights != -1)
         if bad.any():
             raise ValueError(f"{config.name}: weights must be bipolar -1/+1")
-        self._weight_f32 = None  # lazy BLAS operand (see blas_weights)
+        self._blas_operands = None  # lazy, see blas_operands
         if config.input_bits == 1:
             self._packed_weights = pack_bits(weights.astype(np.int8))
             self._int_weights = None
@@ -146,23 +161,46 @@ class MVTU:
                 self._int_weights.astype(np.int64).T
             )
 
-    def blas_weights(self) -> np.ndarray:
-        """Cached ``float32 (cols, rows)`` operand for the planned sgemm.
+    def blas_operands(self) -> BlasOperands:
+        """Cached float32 sgemm operands for execution plans.
 
-        Execution plans compute the MVTU's matrix product as one
-        ``sgemm``: every intermediate fits exactly in float32 (all
-        operands and partial sums are integers far below 2**24, so the
-        float product is bit-exact — see
-        :func:`repro.hw.plan.blas_exact_bound`). Binary weights come out
-        bipolar ±1, matching the ``2p - F`` accumulator domain directly.
+        Every operand is batch-independent, so it is computed once per
+        (weights, :class:`ThresholdSpec`) and shared by every plan
+        compiled for this unit. ``set_weights`` drops the cache; the
+        thresholds are matched by identity, so installing a new spec
+        (as fault injection does) rebuilds it on the next call.
         """
-        if self._weight_f32 is None:
-            if self._int_weights is not None:
-                src = self._int_weights.astype(np.float32)
+        spec = self.thresholds
+        cached = self._blas_operands
+        if cached is not None and cached[0] is spec:
+            return cached[1]
+        cfg = self.config
+        if self._int_weights is not None:
+            w = self._int_weights.astype(np.float32)
+        else:
+            w = unpack_bits(self._packed_weights, dtype=np.float32)
+        col_sums = w.sum(axis=1, dtype=np.float32)  # S = ΣW per channel
+        thresholds = offsets = None
+        if spec is None:
+            # The (binary) logits unit: W·(2b − 1) = (2W)·b − S.
+            w += w
+            offsets = col_sums
+        else:
+            t = spec.thresholds.astype(np.int64)
+            if cfg.input_bits == 1:
+                # Popcount p >= t  ⇔  2p − F >= 2t − F, and over 0/1
+                # activations 2p − F = 2·W·b − S.
+                t = 2 * t - cfg.cols + col_sums.astype(np.int64)
+                ge, le = -(-t // 2), t // 2  # ceil, floor of t / 2
             else:
-                src = unpack_bits(self._packed_weights, dtype=np.float32)
-            self._weight_f32 = np.ascontiguousarray(src.T)
-        return self._weight_f32
+                ge = le = t
+            # acc <= t  ⇔  −acc >= −t: negating a flipped channel's
+            # weights makes every channel a >= channel.
+            thresholds = np.where(spec.flipped, -le, ge)
+            w[spec.flipped] *= -1
+        ops = BlasOperands(np.ascontiguousarray(w.T), thresholds, offsets)
+        self._blas_operands = (spec, ops)
+        return ops
 
     # -- functional ------------------------------------------------------------
     def compute_accumulators(self, vectors) -> np.ndarray:

@@ -8,36 +8,50 @@ scratch. An :class:`ExecutionPlan` is the software analogue of the
 synthesised bitstream: compiled once per (model, folding config, batch
 geometry), it
 
-* precomputes and caches the SWU gather-index tables and every stage's
-  output shapes,
+* lowers every stage to float32 ``sgemm`` calls over views: the 8-bit
+  conv copies its windows out of one strided view of the quantised
+  input, binary convs run one shifted matmul per kernel cell (no im2col
+  at all), FC stages run one product each,
 * binds every intermediate to a persistent
   :class:`~repro.nn.arena.BufferArena` view, so steady-state execution
   performs **zero heap allocations** (``out=``-form kernels end to end;
   verified by :func:`measure_steady_state` in a tier-1 test), and
 * **fuses** each MVTU→threshold→maxpool chain into one super-stage:
-  OR-pooling thresholded bits commutes with thresholding pooled
-  accumulators (``OR(acc_i >= t) == max(acc_i) >= t`` for normal
-  channels, ``OR(acc_i <= t) == min(acc_i) <= t`` for flipped ones), so
-  the plan thresholds at pool resolution — one quarter of the
-  thresholding work for 2x2 pools — and the boolean pooling stage
-  disappears entirely.
+  every channel is compiled to a ``>=`` comparison (below), and
+  OR-pooling thresholded bits commutes with it (``OR(acc_i >= t) ==
+  max(acc_i) >= t``), so the plan max-pools the accumulators pairwise
+  — rows, then columns — and thresholds once at pool resolution. The
+  boolean pooling stage disappears.
+
+Thresholding straight into the next operand
+-------------------------------------------
+
+Each thresholded stage ends in one ``np.greater_equal(pooled, thr,
+out=act)`` that writes the next stage's float32 operand: activations
+travel as ``b ∈ {0, 1}``. A binary MVTU's bipolar accumulator over
+such an operand is ``W·(2b − 1) = 2·W·b − S``, with ``S = ΣW`` per
+output channel (stride 1 and no padding, so every window sees all of
+``W``). A channel that fires on ``2·W·b − S >= t`` fires on ``W·b >=
+ceil((t + S) / 2)``; a flipped channel (``<= t``) gets its weight
+column negated and fires on ``−W·b >= −floor((t + S) / 2)``. The logits
+stage multiplies by ``2W`` and subtracts ``S``. These operands depend
+on neither the batch nor the plan:
+:meth:`~repro.hw.mvtu.MVTU.blas_operands` computes them once per
+(weights, thresholds) and every plan shares them.
 
 Float32-exact GEMMs
 -------------------
 
-A plan computes each stage's matrix product as one float32 ``sgemm``.
-Every operand is an integer (pixels ≤ 255, weights/activations bipolar
-±1) and every partial sum is bounded by :func:`blas_exact_bound` — far
-below ``2**24``, the largest range where float32 holds consecutive
-integers — so the float product is **bit-exact**, not approximate.
-Binary stages run directly in the bipolar accumulator domain (``d = 2p
-- F``) with thresholds rebased once at compile time (``p >= t  ⇔  d >=
-2t - F``), and the final logits stage's product *is* the logits. A
-model outside that bound is not plannable
-(:func:`plan_unsupported_reason` says why) and runs on the interpreted
-XNOR+popcount reference instead. Logits and ``return_bits`` traces
-match the reference exactly; ``tests/test_runtime_contract.py`` pins
-that across the zoo.
+Every operand is an integer (pixels ≤ 255, weights ±1 or ±2,
+activations 0/1), every partial sum is bounded by
+:func:`blas_exact_bound`, and every rebased threshold is checked too —
+all far below ``2**24``, the largest range where float32 holds
+consecutive integers — so the float products and comparisons are
+**bit-exact**, not approximate. A model outside that bound is not
+plannable (:func:`plan_unsupported_reason` says why) and runs on the
+interpreted XNOR+popcount reference instead. Logits and
+``return_bits`` traces match the reference exactly;
+``tests/test_runtime_contract.py`` pins that across the zoo.
 
 Plans are **not** thread-safe (they own their buffers); the
 :class:`PlanCache` keys plans by thread identity so concurrent serving
@@ -57,6 +71,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from repro.hw.compiler import INPUT_SCALE, check_input_range
 from repro.nn.arena import BufferArena
@@ -73,9 +88,6 @@ __all__ = [
 
 #: Largest magnitude at which float32 still represents every integer.
 _F32_EXACT = 2 ** 24
-
-_F32_ONE = np.float32(1.0)
-_F32_TWO = np.float32(2.0)
 
 
 def plan_key(accelerator, batch_size: int) -> Tuple:
@@ -107,10 +119,12 @@ def plan_unsupported_reason(accelerator) -> Optional[str]:
     if stages[-1].kind != "fc" or stages[-1].mvtu.thresholds is not None:
         return "plan requires a final un-thresholded fc stage"
     for stage in stages:
-        tb = _blas_thresholds(stage)
+        # The rebased thresholds are cast to float32 at bind time, so
+        # they must be exact there too, not only the products.
+        thr = stage.mvtu.blas_operands().thresholds
         bound = max(
             blas_exact_bound(stage),
-            0 if tb is None else int(np.abs(tb).max()),
+            0 if thr is None else int(np.abs(thr).max()),
         )
         if bound >= _F32_EXACT:
             return (
@@ -124,44 +138,52 @@ def blas_exact_bound(stage) -> int:
     """Largest integer magnitude ``stage``'s GEMM can produce.
 
     8-bit input stages accumulate at most ``255 * fan_in``; binary
-    stages run in the bipolar domain, where ``|2p - F| <= F``. The
-    float32 sgemm is exact iff this (and the rebased thresholds) stay
-    below ``2**24``.
+    stages sum at most ``fan_in`` ±1 weights over 0/1 activations, and
+    the logits stage, whose weights are doubled (``2·W·b − S``), at
+    most ``2 * fan_in``. The float32 sgemm is exact iff this (and the
+    rebased thresholds) stay below ``2**24``.
     """
     cfg = stage.mvtu.config
     if cfg.input_bits == 8:
         return INPUT_SCALE * cfg.cols
+    if stage.mvtu.thresholds is None:
+        return 2 * cfg.cols
     return cfg.cols
 
 
-def _blas_thresholds(stage) -> Optional[np.ndarray]:
-    """``stage``'s thresholds rebased into its sgemm accumulator domain
-    (int64; :func:`plan_unsupported_reason` checks them against the
-    float32-exact bound before the binder casts them)."""
-    spec = stage.mvtu.thresholds
-    if spec is None:
-        return None
-    if stage.mvtu.config.input_bits == 8:
-        return spec.thresholds
-    # popcount domain: p >= t  <=>  2p - F >= 2t - F
-    return 2 * spec.thresholds - stage.mvtu.config.cols
+def _pool_steps(src: np.ndarray, pool, scratch, out: np.ndarray):
+    """``(a, b, out)`` operands of the ``np.maximum`` calls that pool
+    ``src`` ``(n, H, W, C)`` over non-overlapping ``pool`` windows —
+    rows into ``scratch``, then columns into ``out`` — and the pooled
+    map they leave."""
+
+    def chain(parts, dst):
+        return [(parts[0], parts[1], dst)] + [(dst, p, dst) for p in parts[2:]]
+
+    ph, pw = pool
+    steps = []
+    if ph > 1:
+        dst = scratch if pw > 1 else out
+        steps += chain([src[:, i::ph] for i in range(ph)], dst)
+        src = dst
+    if pw > 1:
+        steps += chain([src[:, :, j::pw] for j in range(pw)], out)
+        src = out
+    return steps, src
 
 
 class _PlannedStage:
     """One stage's bound buffers and its allocation-free ``run()``.
 
-    All views, index tables and constants are bound at plan
-    compile time; ``run`` touches only prebuilt objects and ``out=``
-    kernels.
+    All views and constants are bound at plan compile time; ``run``
+    touches only prebuilt objects and ``out=`` kernels.
     """
 
     __slots__ = (
         "name", "cycles", "fused", "arena_bytes",
-        "gather_src", "gather_idx", "gather_out",
-        "rows_f32", "w_f32", "conv_views", "gemm_tmp",
-        "acc", "acc6", "pmax", "pmin",
-        "thr", "flip", "notflip", "any_flip",
-        "ge", "le", "act", "out_map", "trace_ref",
+        "window_src", "window_out",
+        "rows_f32", "w_f32", "conv_views", "gemm_tmp", "acc",
+        "pool_steps", "pmax", "thr", "offsets", "act", "out_map",
     )
 
     def __init__(self, name: str) -> None:
@@ -169,30 +191,23 @@ class _PlannedStage:
         self.cycles = 0
         self.fused = False
         self.arena_bytes = 0
-        self.gather_src = None
-        self.gather_idx = None
-        self.gather_out = None
+        self.window_src = None
+        self.window_out = None
         self.rows_f32 = None
         self.w_f32 = None
         self.conv_views = None
         self.gemm_tmp = None
         self.acc = None
-        self.acc6 = None
+        self.pool_steps = ()
         self.pmax = None
-        self.pmin = None
         self.thr = None
-        self.flip = None
-        self.notflip = None
-        self.any_flip = False
-        self.ge = None
-        self.le = None
+        self.offsets = None
         self.act = None
         self.out_map = None
-        self.trace_ref = None
 
     def run(self) -> None:
-        if self.gather_src is not None:
-            self.gather_src.take(self.gather_idx, axis=1, out=self.gather_out)
+        if self.window_src is not None:
+            np.copyto(self.window_out, self.window_src)
         if self.conv_views is not None:
             # Shifted-matmul convolution: stride-1 windows over a
             # channel-fastest map mean each kernel cell contributes one
@@ -206,31 +221,23 @@ class _PlannedStage:
         else:
             np.matmul(self.rows_f32, self.w_f32, out=self.acc)
         if self.thr is None:
-            # Final logits stage: the bipolar sgemm already computed 2p - F.
-            np.copyto(self.out_map, self.acc, casting="unsafe")
+            # Final logits stage: (2W)·b − S is the bipolar accumulator.
+            np.subtract(self.acc, self.offsets, out=self.out_map, casting="unsafe")
             return
-        # Fused threshold(+pool): pooling accumulators commutes with
-        # thresholding (max for >=-channels, min for flipped
-        # <=-channels), so the boolean OR-pool stage vanishes.
-        if self.acc6 is not None:
-            np.maximum.reduce(self.acc6, axis=(2, 4), out=self.pmax)
-        np.greater_equal(self.pmax, self.thr, out=self.ge)
-        if self.any_flip:
-            if self.acc6 is not None:
-                np.minimum.reduce(self.acc6, axis=(2, 4), out=self.pmin)
-            np.less_equal(self.pmin, self.thr, out=self.le)
-            np.logical_and(self.ge, self.notflip, out=self.ge)
-            np.logical_and(self.le, self.flip, out=self.le)
-            np.logical_or(self.ge, self.le, out=self.ge)
-        # Bipolar ±1 activation map for the next stage's sgemm.
-        np.multiply(self.ge, _F32_TWO, out=self.act)
-        np.subtract(self.act, _F32_ONE, out=self.act)
+        # Fused pool + threshold: every channel is a >= channel, so
+        # max-pooling the accumulators commutes with thresholding and
+        # the comparison writes the next stage's 0/1 operand directly.
+        for a, b, out in self.pool_steps:
+            np.maximum(a, b, out=out)
+        np.greater_equal(self.pmax, self.thr, out=self.act)
 
     def trace_bits(self) -> np.ndarray:
         """This stage's boolean activation map (or final logits), as a
         fresh array safe to keep across executions (debug mode only —
         this path allocates)."""
-        return self.trace_ref.copy()
+        if self.thr is None:
+            return self.out_map.copy()
+        return self.act.astype(bool)
 
 
 class ExecutionPlan:
@@ -298,19 +305,18 @@ class ExecutionPlan:
 
     # -- compilation ----------------------------------------------------------
     def _bind(self) -> None:
-        """(Re)bind every step's buffers and index tables to the arena."""
+        """(Re)bind every step's buffers and views to the arena."""
         self._bound_epoch = self._arena.epoch
         self.stage_arena_bytes: Dict[str, int] = {}
         n = self.batch_size
         h, w, c = self.accelerator.input_shape
         self._scale = np.float64(INPUT_SCALE)
         self._q_f64 = self._get("input", "quant_f64", (n, h, w, c), np.float64)
-        # Pixels ≤ 255 are exact in float32 — gather and multiply
+        # Pixels ≤ 255 are exact in float32 — copy windows and multiply
         # directly in the sgemm operand dtype.
         self._q_num = self._get("input", "quant_f32", (n, h, w, c), np.float32)
-        self._q_flat = self._q_num.reshape(n, h * w * c)
 
-        act = None  # the previous stage's ±1 activation map
+        act = self._q_num  # the next stage's operand
         steps: List[_PlannedStage] = []
         fused = 0
         for stage in self.accelerator.stages:
@@ -330,40 +336,38 @@ class ExecutionPlan:
         self._logits = steps[-1].out_map
 
     # -- stage binding --------------------------------------------------------
-    def _bind_thresholds(self, st: _PlannedStage, stage) -> None:
-        spec = stage.mvtu.thresholds
-        st.thr = _blas_thresholds(stage).astype(np.float32)
-        st.flip = spec.flipped
-        st.notflip = ~spec.flipped
-        st.any_flip = bool(spec.flipped.any())
-
     def _bind_conv(self, st: _PlannedStage, stage, act_in, n: int):
         cfg = stage.mvtu.config
         swu = stage.swu
         oh, ow = swu.config.out_hw
+        ch = swu.config.channels
+        kh, kw = swu.config.kernel
         m = n * oh * ow
         rows, cols = cfg.rows, cfg.cols
         name = stage.name
-        weights = stage.mvtu.blas_weights()  # (cols, rows), cells × channels
+        ops = stage.mvtu.blas_operands()
+        weights = ops.weights  # (cols, rows), cells × channels
         if cfg.input_bits == 8:
-            # im2col via the cached SWU gather table + one big sgemm:
-            # the 8-bit fan-in is tiny (K*K*3), so the gathered rows are
-            # small and one wide BLAS call beats many skinny ones.
-            st.gather_src = self._q_flat
-            st.gather_idx = swu.gather_indices()
-            gat = self._get(name, "gather", (n, oh * ow * cols), np.float32)
-            st.gather_out = gat
-            st.rows_f32 = gat.reshape(m, cols)
+            # Window copy + one big sgemm: the 8-bit fan-in is tiny
+            # (K*K*3), so one wide BLAS call beats many skinny ones. A
+            # window row is kh runs of kw*C contiguous pixels, so one
+            # strided view yields every row in im2col order (kh, kw, C).
+            sn, sh, sw, sc = act_in.strides
+            st.window_src = as_strided(
+                act_in, (n, oh, ow, kh, kw * ch), (sn, sh, sw, sh, sc),
+                writeable=False,
+            )
+            win = self._get(name, "windows", (n, oh, ow, kh, kw * ch), np.float32)
+            st.window_out = win
+            st.rows_f32 = win.reshape(m, cols)
             st.w_f32 = weights
             st.acc = self._get(name, "acc", (m, rows), np.float32)
             acc4 = st.acc.reshape(n, oh, ow, rows)
         else:
             # Shifted-matmul: one stacked sgemm per kernel cell over a
-            # shifted *view* of the previous ±1 activation map — no
+            # shifted *view* of the previous 0/1 activation map — no
             # im2col gather. Weight layout is (kh, kw, C) channels
             # fastest, so cell i's operand is rows [i*C, (i+1)*C).
-            ch = swu.config.channels
-            kh, kw = swu.config.kernel
             st.acc = self._get(name, "acc", (n, oh, ow, rows), np.float32)
             acc4 = st.acc
             st.gemm_tmp = self._get(name, "gemm_tmp", (n, oh, ow, rows), np.float32)
@@ -376,27 +380,25 @@ class ExecutionPlan:
                         weights[cell * ch : (cell + 1) * ch],
                     ))
             st.conv_views = views
-        self._bind_thresholds(st, stage)
+        st.thr = ops.thresholds.astype(np.float32)
         if stage.pool is not None:
-            ph, pw = stage.pool.config.pool
             out_h, out_w = stage.pool.config.out_hw
-            st.acc6 = acc4.reshape(n, out_h, ph, out_w, pw, rows)
-            st.pmax = self._get(
+            if st.gemm_tmp is not None:
+                scratch = st.gemm_tmp[:, :out_h]  # free once acc is summed
+            else:
+                scratch = self._get(
+                    name, "pool_rows", (n, out_h, ow, rows), np.float32
+                )
+            pooled = self._get(
                 name, "pool_max", (n, out_h, out_w, rows), np.float32
             )
-            if st.any_flip:
-                st.pmin = self._get(
-                    name, "pool_min", (n, out_h, out_w, rows), np.float32
-                )
+            st.pool_steps, st.pmax = _pool_steps(
+                acc4, stage.pool.config.pool, scratch, pooled
+            )
         else:
             out_h, out_w = oh, ow
             st.pmax = acc4
-            st.pmin = acc4
-        st.ge = self._get(name, "bits", (n, out_h, out_w, rows), bool)
-        if st.any_flip:
-            st.le = self._get(name, "bits_flip", (n, out_h, out_w, rows), bool)
         st.act = self._get(name, "act", (n, out_h, out_w, rows), np.float32)
-        st.trace_ref = st.ge
         return st.act
 
     def _bind_fc(self, st: _PlannedStage, stage, act_in, n: int):
@@ -406,21 +408,17 @@ class ExecutionPlan:
         d = int(np.prod(act_in.shape[1:]))
         if d != cols:
             raise RuntimeError(f"{name}: fan-in mismatch ({d} != {cols})")
+        ops = stage.mvtu.blas_operands()
         st.rows_f32 = act_in.reshape(n, cols)
-        st.w_f32 = stage.mvtu.blas_weights()
+        st.w_f32 = ops.weights
         st.acc = self._get(name, "acc", (n, rows), np.float32)
-        if stage.mvtu.thresholds is None:
+        if ops.thresholds is None:
+            st.offsets = ops.offsets
             st.out_map = self._get(name, "logits", (n, rows), np.int64)
-            st.trace_ref = st.out_map
             return st.out_map
-        self._bind_thresholds(st, stage)
+        st.thr = ops.thresholds.astype(np.float32)
         st.pmax = st.acc
-        st.pmin = st.acc
-        st.ge = self._get(name, "bits", (n, rows), bool)
-        if st.any_flip:
-            st.le = self._get(name, "bits_flip", (n, rows), bool)
         st.act = self._get(name, "act", (n, rows), np.float32)
-        st.trace_ref = st.ge
         return st.act
 
     # -- execution ------------------------------------------------------------

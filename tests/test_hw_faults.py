@@ -88,6 +88,16 @@ class TestPerturbThresholds:
             faulty.run(images, REFERENCE), acc.run(images, REFERENCE)
         )
 
+    def test_perturbed_thresholds_reach_every_engine(self, acc, images):
+        # Warm the original's plan (and its cached sgemm operands) first:
+        # the clone's MVTUs carry those operands, which were rebased from
+        # the original thresholds and must not outlive them.
+        clean = acc.run(images)
+        faulty = perturb_thresholds(acc, 1.0, magnitude=3, rng=0)
+        reference = faulty.run(images, REFERENCE)
+        assert not np.array_equal(reference, clean)
+        np.testing.assert_array_equal(faulty.run(images), reference)
+
     def test_logits_stage_untouched(self, acc):
         faulty = perturb_thresholds(acc, 1.0, rng=0)
         assert faulty.stages[-1].mvtu.thresholds is None

@@ -10,7 +10,10 @@ Locks the tentpole's contract:
    and a stale plan (arena cleared underneath it) is never reused;
 3. steady-state planned execution performs zero heap allocations
    (tracemalloc gate over every Table I prototype);
-4. the ``hw_plan`` telemetry span behaves.
+4. the ``hw_plan`` telemetry span behaves;
+5. thresholds rebased into the 0/1-activation domain fire exactly where
+   the reference's do — ties, range-edge thresholds and flipped
+   channels in pooled and unpooled stages — and non-2×2 pools fuse.
 """
 
 import copy
@@ -22,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.architectures import build_architecture, table1_folding
+from repro.hw.bitpack import pack_bits, unpack_bits
 from repro.hw.compiler import FoldingConfig, compile_model
 from repro.hw.plan import (
     ExecutionPlan,
@@ -31,9 +35,19 @@ from repro.hw.plan import (
     plan_key,
     plan_unsupported_reason,
 )
+from repro.hw.thresholding import ThresholdSpec
 from repro.nn.arena import BufferArena
+from repro.nn.layers import (
+    BatchNorm,
+    BinaryConv2D,
+    BinaryDense,
+    Flatten,
+    MaxPool2D,
+    SignActivation,
+)
+from repro.nn.sequential import Sequential
 from repro.runtime import ExecutionConfig
-from repro.testing import randomize_bn_stats
+from repro.testing import grid_images, make_tiny_bnn, randomize_bn_stats
 
 REFERENCE = ExecutionConfig(use_plan=False)
 
@@ -133,6 +147,114 @@ class TestBitExactness:
         for acc in accelerators.values():
             for stage in acc.stages:
                 assert blas_exact_bound(stage) < 2 ** 24
+
+
+def assert_planned_matches_reference(acc, images):
+    ref_logits, ref_trace = acc.run(images, REFERENCE, return_bits=True)
+    logits, trace = ExecutionPlan(acc, len(images)).execute(
+        images, return_bits=True
+    )
+    np.testing.assert_array_equal(logits, ref_logits)
+    assert len(trace) == len(ref_trace)
+    for got, want in zip(trace, ref_trace):
+        np.testing.assert_array_equal(got, want)
+
+
+def tiny_accelerator(model):
+    randomize_bn_stats(model)
+    model.eval()
+    return compile_model(model, FoldingConfig(pe=(1,) * 4, simd=(1,) * 4))
+
+
+class TestThresholdRebase:
+    """Thresholds set directly on a tiny accelerator (8-bit ``conv1``,
+    binary ``conv2`` pooled, binary ``fc1``): the planned ``W·b``
+    comparison must fire exactly where the interpreted popcount / MAC
+    comparison does."""
+
+    @staticmethod
+    def accumulators(acc, k, images):
+        """Stage ``k``'s pre-pool integer accumulators ``(rows, C)``, as
+        the interpreted datapath computes them."""
+        stage = acc.stages[k]
+        if k == 0:
+            current = acc.quantize_input(images)
+        else:
+            current = acc.run(images, REFERENCE, return_bits=True)[1][k - 1]
+        if stage.kind == "conv":
+            rows = stage.swu.execute(current)
+            if stage.mvtu.config.input_bits == 1:
+                rows = pack_bits(rows.astype(bool))
+        else:
+            rows = pack_bits(current.reshape(len(current), -1).astype(bool))
+        return stage.mvtu.compute_accumulators(rows)
+
+    @pytest.mark.parametrize("phase", [0, 1])
+    def test_boundary_thresholds_match_interpreted(self, phase):
+        acc = tiny_accelerator(make_tiny_bnn())
+        images = grid_images(16, hw=8, seed=3)
+        parities = set()
+        for k, stage in enumerate(acc.stages[:-1]):
+            spec = stage.mvtu.thresholds
+            values = np.sort(self.accumulators(acc, k, images), axis=0)
+            observed = values[len(values) // 2]  # hit exactly: a tie
+            picks = np.stack([
+                observed, observed + 1, observed - 1,
+                np.full_like(observed, spec.acc_min - 1),  # never / always
+                np.full_like(observed, spec.acc_max + 1),  # always / never
+            ])
+            channels = np.arange(spec.num_channels)
+            thresholds = picks[channels % len(picks), channels]
+            flipped = (channels + phase) % 2 == 1
+            ties = (values == thresholds).any(axis=0)
+            assert ties[channels % len(picks) == 0].all()
+            stage.mvtu.thresholds = ThresholdSpec(
+                thresholds=thresholds.astype(np.int64),
+                flipped=flipped,
+                acc_min=spec.acc_min,
+                acc_max=spec.acc_max,
+            )
+            if stage.mvtu.config.input_bits == 1:
+                col_sums = unpack_bits(stage.mvtu._packed_weights).sum(axis=1)
+                parities |= set((thresholds + col_sums.astype(int)) % 2)
+        assert parities == {0, 1}  # odd and even t + S
+        flips = [s.mvtu.thresholds.flipped.any() for s in acc.stages[:-1]]
+        pooled = [s.pool is not None for s in acc.stages[:-1]]
+        assert all(flips) and set(pooled) == {True, False}
+        assert_planned_matches_reference(acc, images)
+
+
+class TestNonSquarePools:
+    """Pairwise pooling works for any pool the compiler accepts: a 3×3
+    pool on the 8-bit conv and a 1×2 pool on a binary conv."""
+
+    @staticmethod
+    def model():
+        return Sequential(
+            [
+                ("conv1", BinaryConv2D(3, 8, kernel_size=3, rng=0)),
+                ("bn_conv1", BatchNorm(8)),
+                ("sign_conv1", SignActivation()),
+                ("pool1", MaxPool2D(3)),  # (9, 12) -> (3, 4)
+                ("conv2", BinaryConv2D(8, 8, kernel_size=3, rng=1)),
+                ("bn_conv2", BatchNorm(8)),
+                ("sign_conv2", SignActivation()),
+                ("pool2", MaxPool2D((1, 2))),  # (1, 2) -> (1, 1)
+                ("flatten", Flatten()),
+                ("fc1", BinaryDense(8, 16, rng=2)),
+                ("bn_fc1", BatchNorm(16)),
+                ("sign_fc1", SignActivation()),
+                ("fc2", BinaryDense(16, 4, rng=3)),
+            ],
+            input_shape=(11, 14, 3),
+        )
+
+    def test_planned_matches_interpreted_and_fuses(self):
+        acc = tiny_accelerator(self.model())
+        assert [s.pool.config.pool for s in acc.stages[:2]] == [(3, 3), (1, 2)]
+        assert ExecutionPlan(acc, 2).fused_stages == 2
+        images = np.random.default_rng(5).random((6, 11, 14, 3))
+        assert_planned_matches_reference(acc, images.astype(np.float32))
 
 
 class TestPlanKey:

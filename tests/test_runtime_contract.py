@@ -2,7 +2,9 @@
 
 Every registered engine must reproduce the interpreted reference
 datapath exactly — logits for every Table I prototype under both input
-dtypes, and ``return_bits`` traces where the engine supports them.
+dtypes, and ``return_bits`` traces where the engine supports them —
+both with seeded random batch-norm statistics and with flipped and
+constant channels.
 This is the contract the capability flag ``bit_exact`` declares; a new
 engine registered without passing this file is a registry bug. Every
 engine also rejects non-finite pixels instead of turning them into
@@ -21,6 +23,10 @@ from repro.runtime import ExecutionConfig, create_engine, engine_names
 from repro.testing import randomize_bn_stats
 
 PROTOTYPES = ("cnv", "n-cnv", "u-cnv")
+#: Every prototype again with γ < 0 on about half the batch-norm
+#: channels and γ = 0 on some: flipped (``acc <= t``) and constant
+#: channels, which ``randomize_bn_stats`` (γ ∈ [0.5, 1.5]) never draws.
+MODELS = PROTOTYPES + tuple(f"{arch}-flipped" for arch in PROTOTYPES)
 
 #: Configs that resolve each registered engine, with enough workers /
 #: buckets for the toy batches below. Kept in sync with the registry by
@@ -36,15 +42,23 @@ IN_PROCESS = tuple(n for n in ENGINE_CONFIGS if n != "process")
 
 
 def build_accelerator(name: str):
-    model = build_architecture(name, rng=0)
+    arch = name.removesuffix("-flipped")
+    model = build_architecture(arch, rng=0)
     randomize_bn_stats(model)
+    if name != arch:
+        gen = np.random.default_rng(2)
+        for layer in model.layers:
+            if hasattr(layer, "running_mean"):
+                gamma = layer.gamma.data
+                gamma[gen.random(gamma.size) < 0.5] *= -1
+                gamma[gen.random(gamma.size) < 0.1] = 0
     model.eval()
-    return compile_model(model, table1_folding(name), name=name)
+    return compile_model(model, table1_folding(arch), name=name)
 
 
 @pytest.fixture(scope="module")
 def accelerators():
-    return {name: build_accelerator(name) for name in PROTOTYPES}
+    return {name: build_accelerator(name) for name in MODELS}
 
 
 def seed_batch(dtype):
@@ -64,9 +78,25 @@ def test_every_registered_engine_is_covered():
     assert set(engine_names()) == set(ENGINE_CONFIGS)
 
 
+@pytest.mark.parametrize("arch", PROTOTYPES)
+def test_flipped_models_have_flipped_and_constant_channels(accelerators, arch):
+    for name, want in ((arch, False), (f"{arch}-flipped", True)):
+        stages = accelerators[name].stages[:-1]
+        flipped = sum(int(s.mvtu.thresholds.flipped.sum()) for s in stages)
+        # Constant channels fold to thresholds at the range's edges.
+        constant = sum(
+            int(np.isin(
+                s.mvtu.thresholds.thresholds,
+                (s.mvtu.thresholds.acc_min, s.mvtu.thresholds.acc_max + 1),
+            ).sum())
+            for s in stages
+        )
+        assert (flipped > 0, constant > 0) == (want, want), name
+
+
 @pytest.mark.parametrize("dtype", ["f32", "uint8"])
 @pytest.mark.parametrize("engine_name", IN_PROCESS)
-@pytest.mark.parametrize("arch", PROTOTYPES)
+@pytest.mark.parametrize("arch", MODELS)
 def test_engine_matches_interpreted_logits(accelerators, arch, engine_name, dtype):
     acc = accelerators[arch]
     images = seed_batch(dtype)
@@ -77,7 +107,7 @@ def test_engine_matches_interpreted_logits(accelerators, arch, engine_name, dtyp
 
 
 @pytest.mark.parametrize("engine_name", ["planned-blas"])
-@pytest.mark.parametrize("arch", PROTOTYPES)
+@pytest.mark.parametrize("arch", MODELS)
 def test_planned_return_bits_match_interpreted(accelerators, arch, engine_name):
     acc = accelerators[arch]
     images = seed_batch("f32")
@@ -111,7 +141,7 @@ def test_engine_rejects_non_finite_pixels(accelerators, engine_name):
 
 
 @pytest.mark.parallel
-@pytest.mark.parametrize("arch", PROTOTYPES)
+@pytest.mark.parametrize("arch", MODELS)
 def test_process_engine_matches_interpreted(arch):
     acc = build_accelerator(arch)
     engine = create_engine(acc, ENGINE_CONFIGS["process"])
