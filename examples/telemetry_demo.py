@@ -5,8 +5,8 @@ Walks the whole `repro.telemetry` surface in one sitting:
 
 * activate a `Tracer` over a `SpanJournal` and serve gate-camera
   traffic — every request produces a connected span tree
-  (`serving.request → serving.batch → serving.infer → hw.<stage>` when
-  the accelerator backend runs);
+  (`serving.request → serving.batch → runtime.<engine> → hw.plan →
+  hw.<stage>` when the accelerator backend runs);
 * print the trace summary: per-kind latency percentiles, the
   slowest-stage table with the *modelled* (II-cycles argmax, what the
   board would bottleneck on) next to the *measured* (simulator wall

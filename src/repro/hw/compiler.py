@@ -48,8 +48,8 @@ __all__ = [
     "HardwareStage",
     "FinnAccelerator",
     "FoldingConfig",
+    "InputContract",
     "MVTUGeometry",
-    "check_input_range",
     "compile_model",
     "folding_violations",
     "mvtu_geometry",
@@ -58,20 +58,65 @@ __all__ = [
 #: Pixel quantisation scale for the 8-bit input layer.
 INPUT_SCALE = 255
 
+#: ``float32(1.0)`` viewed as ``uint32``.
+_ONE_BITS = np.float32(1.0).view(np.uint32)
 
-def check_input_range(images: np.ndarray) -> None:
-    """Reject a non-empty batch with any pixel outside the input domain.
 
-    Integer pixels must lie in ``[0, INPUT_SCALE]``, float pixels in
-    ``[0, 1]``. The test is written as ``not (min >= lo and max <= hi)``
-    because every comparison with NaN is False: ``min < lo`` would let a
-    NaN pixel through and turn it into plausible-looking logits.
+@dataclass(frozen=True)
+class InputContract:
+    """The input domain: one ``shape`` image or an ``(N,) + shape``
+    batch of integer pixels in ``[0, INPUT_SCALE]`` or finite float
+    pixels in ``[0, 1]`` (±1e-6 rounding slack). Engines check it once
+    per batch and the server once per image; nothing downstream
+    re-validates.
     """
-    if np.issubdtype(images.dtype, np.integer):
-        if not (images.min() >= 0 and images.max() <= INPUT_SCALE):
+
+    shape: Tuple[int, ...]
+
+    def check(self, images) -> np.ndarray:
+        """``images`` as an ``(N,) + shape`` batch, or ``ValueError``.
+
+        A single image gains a batch axis; an empty batch passes through.
+        """
+        batch = np.asarray(images)
+        if batch.ndim == len(self.shape):
+            batch = batch[None]
+        if batch.ndim != len(self.shape) + 1:
+            raise ValueError(
+                f"input must be one {self.shape} image or an (N,) + "
+                f"{self.shape} batch, got shape {batch.shape}"
+            )
+        if batch.shape[1:] != self.shape:
+            raise ValueError(
+                f"input {batch.shape[1:]} does not match the compiled "
+                f"input {self.shape}"
+            )
+        kind = batch.dtype.kind
+        if kind not in "iuf":
+            raise ValueError(
+                f"input dtype {batch.dtype} is neither integer nor real float"
+            )
+        if batch.size == 0 or batch.dtype == np.uint8:
+            return batch
+        # Common case in one reduction (each one may hand the GIL to a
+        # busy worker): as uint32, floats in [+0, 1] are exactly the bit
+        # patterns up to 1.0's, and NaN, inf and negatives all lie above.
+        if batch.dtype == np.float32:
+            if batch.view(np.uint32).max() <= _ONE_BITS:
+                return batch
+        lo, hi = batch.min(), batch.max()
+        if kind == "f":
+            # Written so that NaN (every comparison False) and ±inf fail
+            # the range test; only a failure pays to tell them apart.
+            if not (lo >= -1e-6 and hi <= 1.0 + 1e-6):
+                if not (np.isfinite(lo) and np.isfinite(hi)):
+                    raise ValueError(
+                        "float input must be finite (NaN or inf found)"
+                    )
+                raise ValueError("float input must be in [0, 1]")
+        elif not (lo >= 0 and hi <= INPUT_SCALE):
             raise ValueError(f"integer input must be in [0, {INPUT_SCALE}]")
-    elif not (images.min() >= -1e-6 and images.max() <= 1.0 + 1e-6):
-        raise ValueError("float input must be finite and in [0, 1]")
+        return batch
 
 
 class MVTUGeometry(NamedTuple):
@@ -242,6 +287,7 @@ class FinnAccelerator:
         self.name = name
         self.stages = stages
         self.input_shape = tuple(input_shape)
+        self.input_contract = InputContract(self.input_shape)
         self.num_classes = int(num_classes)
         self._plan_cache = None
         self._engines = {}
@@ -330,13 +376,8 @@ class FinnAccelerator:
     # -- functional ---------------------------------------------------------
     @staticmethod
     def quantize_input(images: np.ndarray) -> np.ndarray:
-        """Quantise [0, 1] float images to the 8-bit integer input domain."""
+        """Quantise contract-checked images to the 8-bit integer domain."""
         images = np.asarray(images)
-        if images.size == 0:
-            # An empty batch has no range to validate (min/max would
-            # raise); it quantises to an empty integer batch.
-            return images.astype(np.int64)
-        check_input_range(images)
         if np.issubdtype(images.dtype, np.integer):
             return images.astype(np.int64)
         return np.rint(images.astype(np.float64) * INPUT_SCALE).astype(np.int64)
@@ -347,23 +388,10 @@ class FinnAccelerator:
         This is the golden semantics every engine is held to; only the
         runtime engines call it. Activations travel as boolean maps and
         every binary MVTU packs its input rows and runs the
-        XNOR+popcount kernels, as the hardware does.
+        XNOR+popcount kernels, as the hardware does. ``images`` is a
+        non-empty batch checked against :attr:`input_contract`.
         """
-        images = np.asarray(images)
-        if images.ndim == 3:
-            images = images[None]
-        if images.shape[1:] != self.input_shape:
-            raise ValueError(
-                f"input {images.shape[1:]} does not match accelerator "
-                f"input {self.input_shape}"
-            )
         n = images.shape[0]
-        if n == 0:
-            # The serving batcher may drain a batch to nothing (timeouts,
-            # cancellations); an empty batch yields empty logits rather
-            # than a crash deep in quantisation.
-            logits = np.zeros((0, self.num_classes), dtype=np.int64)
-            return (logits, []) if return_bits else logits
         tracer = get_tracer()
         trace_stages = tracer.enabled
         own_span = None

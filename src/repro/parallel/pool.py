@@ -35,7 +35,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.hw.compiler import check_input_range
 from repro.parallel.bucketing import (
     bucket_for,
     default_buckets,
@@ -112,7 +111,6 @@ class ProcessPool:
         num_workers: Optional[int] = None,
         buckets: Optional[Sequence[int]] = None,
         max_batch: int = 32,
-        slots: Optional[int] = None,
         arena_bytes: int = DEFAULT_ARENA_BYTES,
         trace_sample: Optional[int] = None,
         start_method: Optional[str] = None,
@@ -138,11 +136,8 @@ class ProcessPool:
         )
         self.trace_sample = trace_sample
         self._on_event = on_event
-        n_slots = slots if slots is not None else 2 * self.num_workers
-        if n_slots <= 0:
-            raise ValueError(f"slots must be positive, got {n_slots}")
         spec = RingSpec(
-            slots=int(n_slots),
+            slots=2 * self.num_workers,
             max_batch=self.buckets[-1],
             input_shape=tuple(accelerator.input_shape),
             num_classes=int(accelerator.num_classes),
@@ -262,28 +257,23 @@ class ProcessPool:
     def submit(self, images: np.ndarray, return_bits: bool = False) -> PoolTask:
         """Dispatch one batch (≤ largest bucket) to a worker; returns a task.
 
-        The batch is padded up to its bucket inside the ring slot; the
+        ``images`` is an ``(N,) + input_shape`` batch that satisfies the
+        accelerator's ``input_contract`` (the engine checks it). The
+        batch is padded up to its bucket inside the ring slot; the
         returned task resolves to the valid rows only.
         """
         if self._closed:
             raise RuntimeError("pool is closed")
         images = np.asarray(images)
-        if images.ndim == 3:
-            images = images[None]
-        expected_tail = tuple(self.accelerator.input_shape)
-        if images.ndim != 4 or images.shape[1:] != expected_tail:
-            raise ValueError(
-                f"expected (N,) + {expected_tail} images, got {images.shape}"
-            )
         n = images.shape[0]
-        if n:
-            # Reject bad pixels here, as ValueError, before a slot is
-            # taken — a worker would only report them as a task failure.
-            check_input_range(images)
         bucket = bucket_for(n, self.buckets)
         slot = self._acquire_slot()
-        view = self._ring.input_view(slot, bucket, images.dtype)
-        view[:n] = images
+        try:
+            view = self._ring.input_view(slot, bucket, images.dtype)
+            view[:n] = images
+        except BaseException:
+            self._release_slot(slot)  # a malformed batch must not leak it
+            raise
         if bucket > n:
             view[n:] = 0
         with self._lock:
@@ -302,9 +292,6 @@ class ProcessPool:
     def execute(self, images: np.ndarray, timeout: Optional[float] = 120.0
                 ) -> np.ndarray:
         """Integer logits for an arbitrary-size batch, chunked over workers."""
-        images = np.asarray(images)
-        if images.ndim == 3:
-            images = images[None]
         chunk = self.buckets[-1]
         tasks = [
             self.submit(images[start:start + chunk])

@@ -36,8 +36,9 @@ class ExecutionConfig:
       process isolation is rejected.
     * ``chunk_size`` — bound how many images flow through the datapath
       at once (memory ceiling for coalesced serving batches).
-    * ``bucket_sizes`` / ``max_batch`` / ``slots`` — batch-shape buckets
-      and ring sizing for the process pool.
+    * ``bucket_sizes`` / ``max_batch`` — batch-shape buckets and the
+      largest batch for the process pool (its ring keeps two slots per
+      worker).
     * ``trace_sample`` — telemetry binding: sample every Nth pool task
       into the worker span journals (``None`` = tracing off in workers).
     """
@@ -48,7 +49,6 @@ class ExecutionConfig:
     chunk_size: Optional[int] = None
     bucket_sizes: Optional[Tuple[int, ...]] = None
     max_batch: int = 32
-    slots: Optional[int] = None
     trace_sample: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -57,8 +57,7 @@ class ExecutionConfig:
                 f"isolation must be one of {_ISOLATIONS}, "
                 f"got {self.isolation!r}"
             )
-        for name in ("workers", "chunk_size", "max_batch", "slots",
-                     "trace_sample"):
+        for name in ("workers", "chunk_size", "max_batch", "trace_sample"):
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")

@@ -65,18 +65,13 @@ class Engine(Protocol):
         ...
 
 
-def _normalize(batch) -> np.ndarray:
-    batch = np.asarray(batch)
-    if batch.ndim == 3:
-        batch = batch[None]
-    return batch
-
-
 class _BaseEngine:
     """Shared prepare/run/telemetry plumbing for the built-in engines.
 
-    ``run`` owns the chunk loop and the ``runtime.<engine>`` span;
-    subclasses supply ``_run_one`` for a single (unchunked) batch.
+    ``run`` checks the batch against the accelerator's input contract,
+    answers an empty batch itself, and owns the chunk loop and the
+    ``runtime.<engine>`` span; subclasses supply ``_run_one`` for a
+    single (unchunked, non-empty, valid) batch.
     """
 
     name = "base"
@@ -123,8 +118,11 @@ class _BaseEngine:
         )
 
     def run(self, batch, *, return_bits: bool = False):
-        batch = _normalize(batch)
+        batch = self.accelerator.input_contract.check(batch)
         n = batch.shape[0]
+        if n == 0:
+            logits = np.zeros((0, self.accelerator.num_classes), np.int64)
+            return (logits, []) if return_bits else logits
         chunk = self.config.chunk_size
         if chunk is not None and return_bits:
             raise ValueError("chunk_size cannot be combined with return_bits")
@@ -170,14 +168,6 @@ class PlannedEngine(_BaseEngine):
     def _run_one(self, batch, return_bits):
         acc = self.accelerator
         n = batch.shape[0]
-        if batch.shape[1:] != acc.input_shape:
-            raise ValueError(
-                f"input {batch.shape[1:]} does not match accelerator "
-                f"input {acc.input_shape}"
-            )
-        if n == 0:
-            logits = np.zeros((0, acc.num_classes), dtype=np.int64)
-            return (logits, []) if return_bits else logits
         plan, cache_hit = acc.plans.get(n)
         tracer = get_tracer()
         parent = tracer.current_span() if tracer.enabled else None
@@ -238,7 +228,6 @@ class ProcessEngine(_BaseEngine):
                 num_workers=cfg.workers,
                 buckets=cfg.bucket_sizes,
                 max_batch=cfg.max_batch,
-                slots=cfg.slots,
                 trace_sample=cfg.trace_sample,
             )
         return self._pool
@@ -256,15 +245,12 @@ class ProcessEngine(_BaseEngine):
             self._pool.close()
             self._pool = None
 
-    def run(self, batch, *, return_bits: bool = False):
-        batch = _normalize(batch)
-        tracer = get_tracer()
-        with self._span(tracer, batch.shape[0]):
-            if return_bits:
-                task = self.pool.submit(batch, return_bits=True)
-                logits = task.result(timeout=300.0)
-                return logits, task.bits()
-            return self.pool.execute(batch)
+    def _run_one(self, batch, return_bits):
+        if return_bits:
+            task = self.pool.submit(batch, return_bits=True)
+            logits = task.result(timeout=300.0)
+            return logits, task.bits()
+        return self.pool.execute(batch)
 
 
 register_engine(EngineSpec(

@@ -25,7 +25,8 @@ from typing import Optional, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.hw.compiler import FinnAccelerator, FoldingConfig
+from repro.hw.compiler import INPUT_SCALE, FinnAccelerator, FoldingConfig
+from repro.hw.compiler import InputContract
 from repro.hw.pipeline import analyze_pipeline
 
 __all__ = [
@@ -39,10 +40,12 @@ __all__ = [
 
 @runtime_checkable
 class InferenceBackend(Protocol):
-    """What the worker pool requires of a backend."""
+    """What the worker pool requires of a backend (the server checks
+    each submitted image against the primary's ``input_contract``)."""
 
     name: str
     max_concurrency: int
+    input_contract: InputContract
 
     def infer(self, images: np.ndarray) -> np.ndarray:
         """Class labels ``(N,)`` for a stacked image batch ``(N, H, W, C)``."""
@@ -69,7 +72,8 @@ class ClassifierBackend:
 
     ``classifier`` needs ``predict(images, chunk_size=...) -> labels``;
     ``chunk_size`` bounds the per-forward-pass memory of a coalesced
-    batch (the serving worker relies on this).
+    batch (the serving worker relies on this). Integer pixels allowed
+    by the input contract are scaled to ``[0, 1]`` for the float path.
     """
 
     def __init__(
@@ -87,6 +91,7 @@ class ClassifierBackend:
         if num_workers is not None and num_workers <= 0:
             raise ValueError(f"num_workers must be positive, got {num_workers}")
         self.classifier = classifier
+        self.input_contract = InputContract(tuple(classifier.model.input_shape))
         self.chunk_size = int(chunk_size)
         self.num_workers = num_workers
         arch = getattr(classifier, "architecture", None)
@@ -112,6 +117,8 @@ class ClassifierBackend:
         return 1
 
     def infer(self, images: np.ndarray) -> np.ndarray:
+        if images.dtype.kind in "iu":
+            images = (images / INPUT_SCALE).astype(np.float32)
         if self.num_workers is not None:
             return np.asarray(
                 self.classifier.predict(
@@ -155,6 +162,7 @@ class AcceleratorBackend:
         if chunk_size <= 0:
             raise ValueError(f"chunk_size must be positive, got {chunk_size}")
         self.accelerator = accelerator
+        self.input_contract = accelerator.input_contract
         self.chunk_size = int(chunk_size)
         self.execution = (
             execution if execution is not None else ExecutionConfig()
@@ -207,7 +215,6 @@ class ProcessPoolBackend:
         num_workers: Optional[int] = None,
         buckets=None,
         max_batch: int = 32,
-        slots: Optional[int] = None,
         trace_sample: Optional[int] = None,
         clock_mhz: float = 100.0,
         pool=None,
@@ -226,7 +233,6 @@ class ProcessPoolBackend:
             workers=num_workers,
             bucket_sizes=tuple(buckets) if buckets is not None else None,
             max_batch=max_batch,
-            slots=slots,
             trace_sample=trace_sample,
         )
         # The registry resolves this config to the process engine; the
@@ -236,6 +242,7 @@ class ProcessPoolBackend:
         self.engine = create_engine(accelerator, execution, pool=pool)
         self.execution = execution
         self.accelerator = accelerator
+        self.input_contract = accelerator.input_contract
         self.name = name or f"pool:{accelerator.name}"
         self.max_concurrency = int(self.engine.pool.num_workers)
         self.timing = analyze_pipeline(accelerator, clock_mhz)

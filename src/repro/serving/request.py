@@ -34,7 +34,7 @@ class RequestStatus(enum.Enum):
     PENDING = "pending"  # queued, waiting for a batch slot
     RUNNING = "running"  # inside a worker's micro-batch
     COMPLETED = "completed"  # classified; label available
-    REJECTED = "rejected"  # refused at admission (backpressure)
+    REJECTED = "rejected"  # refused at submit (invalid input, backpressure)
     SHED = "shed"  # evicted from a full queue for a higher-priority arrival
     TIMED_OUT = "timed_out"  # deadline expired before a worker reached it
     CANCELLED = "cancelled"  # caller cancelled while still pending
@@ -46,10 +46,11 @@ class RequestStatus(enum.Enum):
 
 
 class RejectionReason(enum.Enum):
-    """Why admission control refused a request (returned, never raised)."""
+    """Why a request was refused at submit (returned, never raised)."""
 
     QUEUE_FULL = "queue_full"
     SHUTTING_DOWN = "shutting_down"
+    INVALID_INPUT = "invalid_input"  # violates the backend's InputContract
 
 
 class ServingError(RuntimeError):
@@ -106,10 +107,6 @@ class InferenceRequest:
         timeout_s: Optional[float] = None,
         now: Optional[float] = None,
     ) -> None:
-        if image.ndim != 3:
-            raise ValueError(
-                f"a request carries one (H, W, C) image, got shape {image.shape}"
-            )
         if timeout_s is not None and timeout_s <= 0:
             raise ValueError(f"timeout_s must be positive, got {timeout_s}")
         now = time.monotonic() if now is None else now

@@ -37,6 +37,7 @@ from repro.serving.batcher import MicroBatcher
 from repro.serving.metrics import MetricsRegistry, ServerStats, StatsReporter
 from repro.serving.request import (
     InferenceRequest,
+    RejectionReason,
     RequestStatus,
     ResultHandle,
 )
@@ -80,8 +81,6 @@ class ServingConfig:
     num_workers: int = 2
     default_timeout_s: Optional[float] = None
     allow_shedding: bool = True
-    worker_poll_s: float = 0.02
-    metrics_window: int = 4096
     bucket_sizes: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
@@ -100,14 +99,6 @@ class ServingConfig:
         if self.default_timeout_s is not None and self.default_timeout_s <= 0:
             raise ValueError(
                 f"default_timeout_s must be positive, got {self.default_timeout_s}"
-            )
-        if self.worker_poll_s <= 0:
-            raise ValueError(
-                f"worker_poll_s must be positive, got {self.worker_poll_s}"
-            )
-        if self.metrics_window <= 0:
-            raise ValueError(
-                f"metrics_window must be positive, got {self.metrics_window}"
             )
         if self.bucket_sizes is not None:
             from repro.parallel.bucketing import validate_buckets
@@ -150,7 +141,8 @@ class InferenceServer:
         if not backend_list:
             raise ValueError("server needs at least one backend")
         self.config = config or ServingConfig()
-        self.metrics = MetricsRegistry(window=self.config.metrics_window)
+        self._input_contract = backend_list[0].input_contract
+        self.metrics = MetricsRegistry()
         self._queue = AdmissionQueue(
             self.config.queue_capacity, allow_shedding=self.config.allow_shedding
         )
@@ -165,7 +157,6 @@ class InferenceServer:
             backend_list,
             self.metrics,
             num_workers=self.config.num_workers,
-            poll_timeout_s=self.config.worker_poll_s,
         )
         self._started = False
         self._stopped = False
@@ -278,17 +269,27 @@ class InferenceServer:
         priority: int = 0,
         timeout_s: Optional[float] = None,
     ) -> ResultHandle:
-        """Submit one ``(H, W, C)`` image; never blocks.
+        """Submit one ``(H, W, C)`` image; never blocks or raises on it.
 
-        Backpressure is explicit: the returned handle is already
-        resolved as REJECTED (with a reason in ``handle.detail``) when
-        admission control refuses it — inspect ``handle.status`` or let
-        ``handle.result()`` raise. ``priority`` orders service (higher
-        first) and governs shedding under overload; ``timeout_s``
-        (default: config's ``default_timeout_s``) is the per-request
-        deadline after which a queued request is dropped as TIMED_OUT.
+        Refusal is explicit: the returned handle is already resolved as
+        REJECTED (with a reason in ``handle.detail``) when the image
+        breaks the primary backend's ``input_contract`` (so it never
+        fails its batch-mates) or admission control refuses it —
+        inspect ``handle.status`` or let ``handle.result()`` raise.
+        ``priority`` orders service (higher first) and governs shedding
+        under overload; ``timeout_s`` (default: config's
+        ``default_timeout_s``) is the per-request deadline after which a
+        queued request is dropped as TIMED_OUT.
         """
         image = np.asarray(image)
+        refused = None
+        try:
+            batch = self._input_contract.check(image)
+            if len(batch) != 1:
+                raise ValueError(f"submit takes one image, got {len(batch)}")
+            image = batch[0]
+        except ValueError as exc:
+            refused = f"{RejectionReason.INVALID_INPUT.value}: {exc}"
         request = InferenceRequest(
             image,
             priority=priority,
@@ -309,14 +310,14 @@ class InferenceServer:
                 },
             )
         self.metrics.increment("submitted")
-        admission = self._queue.offer(request)
-        if admission.shed is not None:
-            self.metrics.increment("shed")
-        if not admission.accepted:
-            request.resolve(
-                RequestStatus.REJECTED,
-                detail=f"admission refused: {admission.reason.value}",
-            )
+        if refused is None:
+            admission = self._queue.offer(request)
+            if admission.shed is not None:
+                self.metrics.increment("shed")
+            if not admission.accepted:
+                refused = f"admission refused: {admission.reason.value}"
+        if refused is not None:
+            request.resolve(RequestStatus.REJECTED, detail=refused)
             self.metrics.increment("rejected")
         return ResultHandle(request)
 

@@ -33,6 +33,10 @@ from repro.utils import blas
 
 __all__ = ["WorkerPool"]
 
+#: How long an idle worker blocks for a first request before it
+#: rechecks the stop flag.
+_POLL_S = 0.02
+
 
 class WorkerPool:
     """``num_workers`` threads pulling micro-batches and running backends."""
@@ -43,7 +47,6 @@ class WorkerPool:
         backends: Sequence[InferenceBackend],
         metrics: MetricsRegistry,
         num_workers: int = 2,
-        poll_timeout_s: float = 0.02,
     ) -> None:
         if not backends:
             raise ValueError("worker pool needs at least one backend")
@@ -56,7 +59,6 @@ class WorkerPool:
         self.backends = list(backends)
         self.metrics = metrics
         self.num_workers = int(num_workers)
-        self.poll_timeout_s = float(poll_timeout_s)
         self._slots: Dict[str, threading.BoundedSemaphore] = {
             b.name: threading.BoundedSemaphore(b.max_concurrency)
             for b in backends
@@ -103,7 +105,7 @@ class WorkerPool:
     # -- the work ------------------------------------------------------------
     def _loop(self) -> None:
         while not self._stop.is_set():
-            batch = self.batcher.next_batch(poll_timeout_s=self.poll_timeout_s)
+            batch = self.batcher.next_batch(poll_timeout_s=_POLL_S)
             if batch:
                 self._execute(batch)
 
@@ -141,28 +143,39 @@ class WorkerPool:
         # The batch span parents under the first traced request and
         # *links* to the rest — a micro-batch belongs to one trace tree
         # but serves many requests, and links keep the others findable.
+        # It is current while the backends run, so the engine's runtime
+        # and per-stage spans nest directly under it.
         tracer = get_tracer()
-        if tracer.enabled:
-            traced = [
-                r.trace_span
-                for r in now_batch
-                if r.trace_span is not None and r.trace_span.recording
-            ]
-            batch_span = tracer.start_span(
-                "serving.batch",
-                kind="batch",
-                parent=traced[0] if traced else NOOP_SPAN,
-                links=[s.span_id for s in traced[1:]],
-                attributes={"size": len(now_batch)},
-            )
-        else:
-            batch_span = NOOP_SPAN
+        traced = [
+            r.trace_span
+            for r in now_batch
+            if r.trace_span is not None and r.trace_span.recording
+        ] if tracer.enabled else []
+        with tracer.span(
+            "serving.batch",
+            kind="batch",
+            parent=traced[0] if traced else NOOP_SPAN,
+            links=[s.span_id for s in traced[1:]],
+            attributes={"size": len(now_batch)},
+        ) as batch_span:
+            failure = self._run_batch(now_batch, batch_span)
+        if failure is None:
+            return
+        error, detail = failure
+        for request in now_batch:
+            if request.resolve(RequestStatus.FAILED, error=error, detail=detail):
+                self.metrics.increment("failed")
 
+    def _run_batch(self, now_batch: List[InferenceRequest], batch_span):
+        """Complete the batch on the first backend that succeeds, or
+        return the ``(error, detail)`` to fail it with."""
         last_error: Optional[BaseException] = None
         tried: List[str] = []
         try:
-            # Stacking and padding stay inside the try: a malformed image
-            # fails its batch with the reason, never the worker thread.
+            # Stacking and padding stay inside the try as safety code
+            # (submit already checked every image against the input
+            # contract): a batch that cannot be stacked fails with the
+            # reason, never the worker thread.
             images = np.stack([r.image for r in now_batch])
             bucket = self.batcher.bucket_for(len(now_batch))
             if bucket is not None and bucket > len(now_batch):
@@ -189,17 +202,8 @@ class WorkerPool:
                     self.metrics.increment("fallbacks")
                 tried.append(backend.name)
                 try:
-                    # The backend span is *current* for the infer call, so
-                    # datapath-internal spans (per-hw-stage) nest under it.
                     with self.metrics.stopwatch.section(
                         f"infer.{backend.name}"
-                    ), tracer.span(
-                        "serving.infer",
-                        kind="backend",
-                        parent=batch_span,
-                        attributes={
-                            "backend": backend.name, "size": len(now_batch)
-                        },
                     ):
                         labels = np.asarray(backend.infer(images))
                 except Exception as exc:  # noqa: BLE001 — fall back, then report
@@ -219,17 +223,13 @@ class WorkerPool:
                 batch_span.set_attribute("backend", backend.name)
                 self._complete(now_batch, labels, backend.name)
                 return
-            detail = f"all backends failed ({', '.join(tried)}): {last_error}"
+            return last_error, (
+                f"all backends failed ({', '.join(tried)}): {last_error}"
+            )
         except Exception as exc:  # noqa: BLE001 — fail the batch, keep the worker
-            last_error = exc
-            detail = f"batch could not be run: {exc}"
+            return exc, f"batch could not be run: {exc}"
         finally:
-            batch_span.finish()
-        for request in now_batch:
-            if request.resolve(
-                RequestStatus.FAILED, error=last_error, detail=detail
-            ):
-                self.metrics.increment("failed")
+            batch_span.set_attribute("tried", list(tried))
 
     def _complete(
         self, batch: List[InferenceRequest], labels: np.ndarray, backend_name: str

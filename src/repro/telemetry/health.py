@@ -127,30 +127,19 @@ def probe_workers(alive: int, expected: int, running: bool) -> ProbeResult:
     return ProbeResult("workers", ProbeStatus.OK, detail)
 
 
-def _smoke_image_shape(backend) -> Tuple[int, int, int]:
-    """Best-effort input shape for a backend's smoke image.
-
-    Accelerator backends expose the compiled input shape; classifier
-    backends fall back to the paper's 32x32x3 input domain.
-    """
-    accelerator = getattr(backend, "accelerator", None)
-    shape = getattr(accelerator, "input_shape", None)
-    if shape is not None and len(shape) == 3:
-        return tuple(int(d) for d in shape)
-    return (32, 32, 3)
-
-
 def probe_backend_smoke(
     backend, image: Optional[np.ndarray] = None
 ) -> ProbeResult:
     """Readiness probe: one-image inference straight through ``backend``.
 
     Bypasses the queue/batcher deliberately — it answers "can this
-    backend still compute", not "is the queue healthy".
+    backend still compute", not "is the queue healthy". The default
+    smoke image is all zeros in the shape of the backend's
+    ``input_contract``.
     """
     name = f"backend:{getattr(backend, 'name', backend.__class__.__name__)}"
     if image is None:
-        image = np.zeros(_smoke_image_shape(backend), dtype=np.float32)
+        image = np.zeros(backend.input_contract.shape, dtype=np.float32)
     batch = np.asarray(image)
     if batch.ndim == 3:
         batch = batch[None]

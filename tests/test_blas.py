@@ -12,6 +12,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.hw.compiler import InputContract
 from repro.serving import InferenceServer, ServingConfig
 from repro.utils import blas
 
@@ -23,6 +24,7 @@ pytestmark = pytest.mark.skipif(
 class _Backend:
     name = "stub"
     max_concurrency = 1
+    input_contract = InputContract((4, 4, 3))
 
     def infer(self, images):
         return np.zeros(len(images), dtype=int)

@@ -8,7 +8,12 @@ when both consume pixels on the uint8 grid.
 import numpy as np
 import pytest
 
-from repro.hw.compiler import FinnAccelerator, FoldingConfig, compile_model
+from repro.hw.compiler import (
+    FinnAccelerator,
+    FoldingConfig,
+    InputContract,
+    compile_model,
+)
 from repro.nn.layers import (
     BatchNorm,
     BinaryConv2D,
@@ -176,6 +181,25 @@ class TestDatapath:
             compiled.run(np.full((1, 8, 8, 3), 1.5, dtype=np.float32), REFERENCE)
         with pytest.raises(ValueError, match=r"\[0, 255\]"):
             compiled.run(np.full((1, 8, 8, 3), 300, dtype=np.int64), REFERENCE)
+
+    def test_input_contract_range_edges(self):
+        # float32 decides in-range batches through its uint32 bit view;
+        # every edge must agree with the two-reduction path of the other
+        # dtypes, including -0.0, the 1e-6 slack, signed NaN and a
+        # big-endian batch (which the bit view must not misread).
+        contract = InputContract((2, 2, 1))
+        for dtype in (np.float32, np.float64, ">f4"):
+            for ok in (0.0, -0.0, 1.0, -1e-7, 1 + 1e-7):
+                contract.check(np.full((2, 2, 1), ok, dtype))
+            for bad in (np.nan, -np.nan, np.inf, -np.inf, -0.01, 1.01):
+                with pytest.raises(ValueError):
+                    contract.check(np.full((2, 2, 1), bad, dtype))
+        for dtype in (np.uint8, np.int8, np.int64):
+            contract.check(np.full((2, 2, 1), 0, dtype))
+            contract.check(np.full((2, 2, 1), 127, dtype))
+        for bad in (-1, 256):
+            with pytest.raises(ValueError, match=r"\[0, 255\]"):
+                contract.check(np.full((2, 2, 1), bad, np.int64))
 
     def test_logits_are_even_integers(self, compiled):
         # Bipolar dot of even fan-in (16) is even — a structural sanity

@@ -436,6 +436,15 @@ class TestPoolFaults:
         with pytest.raises(ValueError):
             tiny_pool.submit(np.zeros((9, 8, 8, 3), np.float32))
 
+    def test_malformed_batch_does_not_leak_a_ring_slot(self, tiny_pool):
+        # The engine checks the input contract; a direct caller's wrong
+        # shape fails the copy into the slot, which must come back.
+        free = len(tiny_pool._free_slots)
+        for _ in range(free + 1):
+            with pytest.raises(ValueError):
+                tiny_pool.submit(np.zeros((2, 5, 5, 3), np.float32))
+        assert len(tiny_pool._free_slots) == free
+
 
 # ---------------------------------------------------------------------------
 # serving integration

@@ -80,7 +80,7 @@ class TestExecutionConfig:
         {"workers": -2},
         {"chunk_size": 0},
         {"max_batch": -1},
-        {"slots": 0},
+        {"max_batch": 0},
         {"trace_sample": 0},
     ])
     def test_rejects_bad_values(self, kwargs):
@@ -99,10 +99,10 @@ class TestExecutionConfig:
             ExecutionConfig().merged(workers=2)
         assert ExecutionConfig(isolation="process", workers=2).workers == 2
 
-    def test_has_eight_fields(self):
+    def test_has_seven_fields(self):
         assert list(ExecutionConfig().describe()) == [
             "use_plan", "isolation", "workers", "chunk_size",
-            "bucket_sizes", "max_batch", "slots", "trace_sample",
+            "bucket_sizes", "max_batch", "trace_sample",
         ]
 
     def test_bucket_sizes_coerced_to_int_tuple(self):

@@ -7,8 +7,10 @@ both with seeded random batch-norm statistics and with flipped and
 constant channels.
 This is the contract the capability flag ``bit_exact`` declares; a new
 engine registered without passing this file is a registry bug. Every
-engine also rejects non-finite pixels instead of turning them into
-plausible-looking logits.
+engine also answers each input outside the accelerator's
+``InputContract`` (wrong rank, shape or dtype, non-finite or
+out-of-range pixels) with the contract's own ``ValueError`` instead of
+plausible-looking logits, and an empty batch with ``(0, classes)``.
 
 The process engine rides in the ``parallel`` marker (CI runs it in the
 dedicated multi-core job); the in-process engines run in tier 1.
@@ -39,6 +41,10 @@ ENGINE_CONFIGS = {
     ),
 }
 IN_PROCESS = tuple(n for n in ENGINE_CONFIGS if n != "process")
+ALL_ENGINES = tuple(
+    pytest.param(n, marks=pytest.mark.parallel) if n == "process" else n
+    for n in ENGINE_CONFIGS
+)
 
 
 def build_accelerator(name: str):
@@ -120,24 +126,69 @@ def test_planned_return_bits_match_interpreted(accelerators, arch, engine_name):
         np.testing.assert_array_equal(got, ref)
 
 
-def non_finite_batches():
-    """One batch per non-finite pixel value, each otherwise valid."""
-    for bad in (np.nan, np.inf, -np.inf):
+def invalid_batches():
+    """(case, batch, reason fragment) for each way to break the contract."""
+    f32 = seed_batch("f32")
+    ints = seed_batch("uint8").astype(np.int64)
+
+    def poke(images, value):
+        images = images.copy()
+        images[1, 5, 7, 2] = value
+        return images
+
+    yield "rank 2", f32[0, :, :, 0], "must be one"
+    yield "rank 5", f32[None], "must be one"
+    yield "shape", f32[:, :16], "does not match"
+    for value in (np.nan, np.inf, -np.inf):
+        yield str(value), poke(f32, value), "finite"
+    for value in (-0.01, 1.01):
+        yield str(value), poke(f32, value), r"float input must be in \[0, 1\]"
+    for value in (256, -1):
+        yield str(value), poke(ints, value), r"integer input must be in \[0, 255\]"
+    yield "bool", f32 > 0.5, "neither integer nor real float"
+    yield "complex64", f32.astype(np.complex64), "neither integer nor real float"
+
+
+def close_engine(engine):
+    close = getattr(engine, "close", None)
+    if close is not None:
+        close()
+
+
+@pytest.mark.parametrize("engine_name", ALL_ENGINES)
+def test_engine_rejects_invalid_input(accelerators, engine_name):
+    acc = accelerators["u-cnv"]
+    engine = create_engine(acc, ENGINE_CONFIGS[engine_name])
+    try:
+        for case, images, fragment in invalid_batches():
+            with pytest.raises(ValueError, match=fragment) as contract:
+                acc.input_contract.check(images)
+            with pytest.raises(ValueError) as got:
+                engine.run(images)
+            assert str(got.value) == str(contract.value), case
+        # Nothing invalid reached the datapath: a good batch still runs.
         images = seed_batch("f32")
-        images[1, 5, 7, 2] = bad
-        yield bad, images
+        np.testing.assert_array_equal(
+            engine.run(images), reference_logits(acc, images)
+        )
+    finally:
+        close_engine(engine)
 
 
-def assert_rejects_non_finite(engine):
-    for bad, images in non_finite_batches():
-        with pytest.raises(ValueError, match="finite"):
-            engine.run(images)
-
-
-@pytest.mark.parametrize("engine_name", IN_PROCESS)
-def test_engine_rejects_non_finite_pixels(accelerators, engine_name):
-    engine = create_engine(accelerators["u-cnv"], ENGINE_CONFIGS[engine_name])
-    assert_rejects_non_finite(engine)
+@pytest.mark.parametrize("engine_name", ALL_ENGINES)
+def test_engine_answers_empty_batch(accelerators, engine_name):
+    acc = accelerators["u-cnv"]
+    engine = create_engine(acc, ENGINE_CONFIGS[engine_name])
+    try:
+        for dtype in (np.float32, np.uint8):
+            empty = np.zeros((0,) + acc.input_shape, dtype)
+            logits = engine.run(empty)
+            assert logits.shape == (0, acc.num_classes)
+            assert logits.dtype == np.int64
+            logits, bits = engine.run(empty, return_bits=True)
+            assert logits.shape == (0, acc.num_classes) and bits == []
+    finally:
+        close_engine(engine)
 
 
 @pytest.mark.parallel
@@ -162,18 +213,3 @@ def test_process_engine_matches_interpreted(arch):
     finally:
         engine.close()
         acc.close_pool()
-
-
-@pytest.mark.parallel
-def test_process_engine_rejects_non_finite_pixels():
-    acc = build_accelerator("u-cnv")
-    engine = create_engine(acc, ENGINE_CONFIGS["process"])
-    try:
-        assert_rejects_non_finite(engine)
-        # The pool survives the rejected batches.
-        images = seed_batch("f32")
-        np.testing.assert_array_equal(
-            engine.run(images), reference_logits(acc, images)
-        )
-    finally:
-        engine.close()

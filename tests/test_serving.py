@@ -10,6 +10,7 @@ trained tiny classifier and checks served labels against direct
 from __future__ import annotations
 
 import dataclasses
+import re
 import sys
 import threading
 import time
@@ -37,7 +38,7 @@ from repro.serving import (
     run_open_loop,
 )
 from repro.core.architectures import table1_folding
-from repro.hw.compiler import FoldingConfig, compile_model
+from repro.hw.compiler import FoldingConfig, InputContract, compile_model
 from repro.runtime import ExecutionConfig
 from repro.testing import grid_images, make_tiny_bnn, randomize_bn_stats
 from repro.utils.clock import FakeClock
@@ -54,6 +55,8 @@ def make_request(value: float = 0.5, **kwargs) -> InferenceRequest:
 
 class StubBackend:
     """Deterministic backend: label = round(mean * 1000) % 4, optional delay."""
+
+    input_contract = InputContract((4, 4, 3))
 
     def __init__(self, name="stub", delay_s=0.0, fail=False, max_concurrency=2):
         self.name = name
@@ -304,6 +307,19 @@ class TestBackends:
         assert backend.max_concurrency == 1
         assert backend.modelled_batch_seconds(8) > backend.modelled_batch_seconds(1)
 
+    def test_classifier_backend_scales_integer_pixels(
+        self, trained_tiny_classifier
+    ):
+        # The contract admits [0, 255] integers; the float path must see
+        # them as the same [0, 1] image, not as raw pixel values.
+        backend = ClassifierBackend(trained_tiny_classifier)
+        assert backend.input_contract == InputContract((32, 32, 3))
+        images = grid_images(6, hw=32)
+        pixels = np.rint(images * 255).astype(np.uint8)
+        np.testing.assert_array_equal(
+            backend.infer(pixels), backend.infer(images)
+        )
+
     def test_rejects_predictless_classifier(self):
         with pytest.raises(TypeError, match="predict"):
             ClassifierBackend(object())
@@ -526,13 +542,24 @@ class TestWorkerPoolAndServer:
         assert "shutting_down" in handle.detail
 
     def test_invalid_image_raises_eagerly(self):
+        # "Eagerly" is at submit: the handle comes back already REJECTED
+        # with the contract's reason instead of submit raising.
         server = InferenceServer([StubBackend()])
-        with pytest.raises(ValueError, match="one \\(H, W, C\\) image"):
-            server.submit(np.zeros((4, 4), dtype=np.float32))
+        for bad, reason in (
+            (np.zeros((4, 4), np.float32), "must be one"),
+            (np.zeros((2, 4, 4, 3), np.float32), "one image, got 2"),
+            (np.full((4, 4, 3), 2, np.float64), r"\[0, 1\]"),
+            (np.zeros((4, 4, 3), np.complex64), "neither integer"),
+        ):
+            handle = server.submit(bad)
+            assert handle.status is RequestStatus.REJECTED
+            assert RejectionReason.INVALID_INPUT.value in handle.detail
+            assert re.search(reason, handle.detail)
+        assert server.stats().rejected == 4
 
     def test_malformed_image_fails_its_batch_not_the_worker(self):
-        # One wrong-shape tile among good ones makes np.stack raise. The
-        # batch resolves FAILED with the reason; the worker survives.
+        # A wrong-shape tile is rejected at submit, so it never reaches
+        # np.stack: its batch-mates complete and the workers survive.
         config = ServingConfig(max_batch_size=32, num_workers=2)
         server = InferenceServer([StubBackend()], config)
         good = np.zeros((4, 4, 3), dtype=np.float32)
@@ -544,18 +571,19 @@ class TestWorkerPoolAndServer:
             statuses = [h.wait(timeout=1.0) for h in handles]
             assert RequestStatus.RUNNING not in statuses
             assert RequestStatus.PENDING not in statuses
-            assert statuses[-1] is RequestStatus.FAILED
-            assert "could not be run" in handles[-1].detail
+            assert statuses[-1] is RequestStatus.REJECTED
+            assert "does not match" in handles[-1].detail
+            assert statuses[:-1] == [RequestStatus.COMPLETED] * 16
             workers = next(p for p in server.health().probes if p.name == "workers")
             assert workers.detail == "2/2 worker threads alive"
             after = server.submit(good)
             assert after.wait(timeout=10.0) is RequestStatus.COMPLETED
-        assert server.stats().failed == statuses.count(RequestStatus.FAILED)
+        assert server.stats().failed == 0
 
     def test_config_type_hints_resolve(self):
         hints = typing.get_type_hints(ServingConfig)
         assert hints["bucket_sizes"] == Optional[Tuple[int, ...]]
-        assert len(dataclasses.fields(ServingConfig)) == 8
+        assert len(dataclasses.fields(ServingConfig)) == 6
         assert "bucket_sizes" in typing.get_type_hints(ExecutionConfig)
 
     def test_config_validation(self):
@@ -681,6 +709,80 @@ class TestEndToEnd:
         with server:
             labels = server.predict(tiles, timeout=60.0)
         assert labels.shape == (3,)
+
+
+# ---------------------------------------------------------------------------
+# one poisoned request among good ones, on the thread and process backends
+# ---------------------------------------------------------------------------
+#: Each bad image and a fragment of the contract's reason for it.
+POISON_CASES = {
+    "nan": "finite",
+    "inf": "finite",
+    "-inf": "finite",
+    "1.5": r"\[0, 1\]",
+    "-0.01": r"\[0, 1\]",
+    "shape": "does not match",
+    "rank": "must be one",
+}
+
+
+def poisoned(case: str, tile: np.ndarray) -> np.ndarray:
+    if case == "shape":
+        return np.zeros((16, 16, 3), np.float32)
+    if case == "rank":
+        return np.zeros((32, 32), np.float32)
+    bad = tile.copy()
+    bad[3, 5, 1] = float(case)
+    return bad
+
+
+@pytest.fixture(scope="module")
+def poison_setup():
+    model = make_tiny_bnn(input_hw=32, seed=5)
+    randomize_bn_stats(model, seed=5)
+    model.eval()
+    acc = compile_model(model, FoldingConfig(pe=(1,) * 4, simd=(1,) * 4))
+    tiles = face_tile_pool(16, rng=7)
+    return acc, tiles, acc.predict(tiles)
+
+
+@pytest.mark.parametrize("backend", [
+    "thread", pytest.param("process", marks=pytest.mark.parallel),
+])
+@pytest.mark.parametrize("case", sorted(POISON_CASES))
+def test_poisoned_request_is_rejected_alone(poison_setup, backend, case):
+    acc, tiles, expected = poison_setup
+    execution = (
+        ExecutionConfig(isolation="process", workers=1)
+        if backend == "process" else None
+    )
+    server = InferenceServer.from_accelerator(
+        acc, ServingConfig(max_batch_size=32, num_workers=2),
+        execution=execution,
+    )
+    # Queued before start, so the first worker takes the good 16 at once.
+    handles = [server.submit(t) for t in tiles]
+    bad = server.submit(poisoned(case, tiles[0]))
+    assert bad.status is RequestStatus.REJECTED
+    assert bad.detail.startswith(RejectionReason.INVALID_INPUT.value)
+    assert re.search(POISON_CASES[case], bad.detail)
+
+    def workers_alive():
+        return next(
+            p.detail for p in server.health().probes if p.name == "workers"
+        )
+
+    with server:
+        alive = workers_alive()
+        assert [h.wait(timeout=60.0) for h in handles] == (
+            [RequestStatus.COMPLETED] * len(tiles)
+        )
+        assert [h.result() for h in handles] == expected.tolist()
+        assert workers_alive() == alive == "2/2 worker threads alive"
+        if backend == "process":
+            assert server.backends[0].pool.alive_workers() == 1
+    stats = server.stats()
+    assert (stats.rejected, stats.completed, stats.failed) == (1, 16, 0)
 
 
 # ---------------------------------------------------------------------------

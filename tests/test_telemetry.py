@@ -18,7 +18,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.architectures import build_architecture, table1_folding
-from repro.hw.compiler import compile_model
+from repro.hw.compiler import FoldingConfig, InputContract, compile_model
 from repro.hw.pipeline import analyze_pipeline
 from repro.serving import InferenceServer, ServingConfig
 from repro.telemetry import (
@@ -43,7 +43,7 @@ from repro.telemetry import (
     validate_telemetry_doc,
 )
 from repro.telemetry.export import render_prometheus, span_families
-from repro.testing import randomize_bn_stats
+from repro.testing import grid_images, make_tiny_bnn, randomize_bn_stats
 from repro.utils.clock import MONOTONIC, FakeClock, MonotonicClock
 
 pytestmark = pytest.mark.telemetry
@@ -408,6 +408,7 @@ class TestExport:
 class _StubBackend:
     name = "stub"
     max_concurrency = 2
+    input_contract = InputContract((4, 4, 3))
 
     def infer(self, images):
         return np.zeros(len(images), dtype=int)
@@ -416,6 +417,7 @@ class _StubBackend:
 class _BrokenBackend:
     name = "broken"
     max_concurrency = 1
+    input_contract = InputContract((4, 4, 3))
 
     def infer(self, images):
         raise RuntimeError("dead silicon")
@@ -424,6 +426,7 @@ class _BrokenBackend:
 class _ShortBackend:
     name = "short"
     max_concurrency = 1
+    input_contract = InputContract((4, 4, 3))
 
     def infer(self, images):
         return np.zeros(max(0, len(images) - 1), dtype=int)
@@ -502,7 +505,7 @@ class TestServingTraces:
         by_kind = {}
         for s in spans:
             by_kind.setdefault(s["kind"], []).append(s)
-        assert set(by_kind) == {"request", "batch", "backend"}
+        assert set(by_kind) == {"request", "batch"}
         assert len(by_kind["request"]) == 4
         ids = {s["span_id"]: s for s in spans}
         for batch in by_kind["batch"]:
@@ -511,11 +514,39 @@ class TestServingTraces:
             # requests beyond the first are linked, not re-parented
             covered = {parent["span_id"], *batch["links"]}
             assert covered <= {r["span_id"] for r in by_kind["request"]}
-        for infer in by_kind["backend"]:
-            assert ids[infer["parent_id"]]["kind"] == "batch"
-            assert infer["attributes"]["backend"] == "stub"
+            assert batch["attributes"]["backend"] == "stub"
+            assert batch["attributes"]["tried"] == ["stub"]
         for req in by_kind["request"]:
             assert req["attributes"]["status"] == "completed"
+
+    def test_engine_spans_nest_directly_under_the_batch(self):
+        model = make_tiny_bnn()
+        randomize_bn_stats(model)
+        model.eval()
+        acc = compile_model(model, FoldingConfig(pe=(1,) * 4, simd=(1,) * 4))
+        tracer, journal = make_tracer()
+        activate(tracer)
+        server = InferenceServer.from_accelerator(acc, ServingConfig(
+            max_batch_size=4, num_workers=1,
+        ))
+        with server:
+            server.predict(grid_images(3, hw=8))
+        deactivate()
+        spans = journal.snapshot()
+        parent = {
+            s["span_id"]: next(
+                (p["name"] for p in spans if p["span_id"] == s["parent_id"]),
+                None,
+            )
+            for s in spans
+        }
+        runtime = [s for s in spans if s["name"].startswith("runtime.")]
+        plans = [s for s in spans if s["kind"] == "hw_plan"]
+        stages = [s for s in spans if s["kind"] == "hw_stage"]
+        assert runtime and plans and stages
+        assert {parent[s["span_id"]] for s in runtime} == {"serving.batch"}
+        assert {parent[s["span_id"]] for s in plans} == {"runtime.planned-blas"}
+        assert {parent[s["span_id"]] for s in stages} == {"hw.plan"}
 
     def test_untraced_server_records_nothing(self):
         server = InferenceServer([_StubBackend()], ServingConfig(
