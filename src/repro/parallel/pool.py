@@ -7,17 +7,20 @@ per worker), spawns the workers, and exposes a future-based submit API:
   slot, and enqueues a tiny task tuple to the least-loaded worker —
   arrays never cross a pipe (``return_bits`` traces are the deliberate
   pickled exception).
-* A collector thread drains the single result queue, copies logits out
-  of the slot (sliced back to the valid rows), frees the slot, and
-  resolves the future.
-* Worker death is detected by the collector's idle heartbeat: the dead
-  worker is respawned with a fresh task queue and every task that was
-  in flight on it is re-dispatched — inputs still sit untouched in
-  their ring slots, and planned inference is deterministic, so a
-  re-run after a partial completion is safe. The task queue buffers the
-  re-sent work while the replacement prewarms its plans. Restarts and
-  requeues are counted and surfaced to ``on_event`` (the serving
-  backend forwards them into the server's metrics registry).
+* A collector thread drains the workers' result pipes, copies logits
+  out of the slot (sliced back to the valid rows), frees the slot, and
+  resolves the future. Each worker writes to a pipe of its own: a
+  SIGKILLed worker must not die holding a lock that its peers need to
+  report results (a shared ``multiprocessing.Queue`` has one).
+* Worker death is detected by the collector, on its pipe's EOF or its
+  idle heartbeat: the dead worker is respawned with a fresh task queue
+  and result pipe, and every task that was in flight on it is
+  re-dispatched — inputs still sit untouched in their ring slots, and
+  planned inference is deterministic, so a re-run after a partial
+  completion is safe. The task queue buffers the re-sent work while the
+  replacement prewarms its plans. Restarts and requeues are counted and
+  surfaced to ``on_event`` (the serving backend forwards them into the
+  server's metrics registry).
 
 The pool is bit-exact vs the single-process planned path by
 construction: workers run the *same* ``ExecutionPlan`` code over the
@@ -28,9 +31,9 @@ datapath never mixes into the first ``n_valid`` logits.
 from __future__ import annotations
 
 import multiprocessing as mp
-import queue as std_queue
 import threading
 import time
+from multiprocessing import connection as mp_connection
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -151,7 +154,7 @@ class ProcessPool:
         self._arenas: List[SharedArena] = [
             SharedArena(arena_bytes) for _ in range(self.num_workers)
         ]
-        self._result_q = self._ctx.Queue()
+        self._results: List = [None] * self.num_workers  # read ends
         self._task_qs: List = [None] * self.num_workers
         self._procs: List = [None] * self.num_workers
         self._lock = threading.Lock()
@@ -175,8 +178,10 @@ class ProcessPool:
 
     # -- worker lifecycle ----------------------------------------------------
     def _spawn(self, worker_id: int) -> None:
-        """(Re)start worker ``worker_id`` with a fresh task queue."""
+        """(Re)start worker ``worker_id`` with a fresh task queue and
+        result pipe."""
         q = self._ctx.Queue()
+        reader, writer = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=worker_main,
             name=f"pool-worker-{worker_id}",
@@ -188,12 +193,16 @@ class ProcessPool:
                 self._arenas[worker_id].name,
                 self.buckets,
                 q,
-                self._result_q,
+                writer,
                 self.trace_sample,
             ),
             daemon=True,
         )
         proc.start()
+        writer.close()  # the worker's copy is the last: its death is EOF
+        if self._results[worker_id] is not None:
+            self._results[worker_id].close()
+        self._results[worker_id] = reader
         self._task_qs[worker_id] = q
         self._procs[worker_id] = proc
 
@@ -210,17 +219,21 @@ class ProcessPool:
                     f"pool workers {sorted(waiting)} failed to start within "
                     f"{_START_TIMEOUT_S:.0f}s"
                 )
-            try:
-                msg = self._result_q.get(timeout=min(timeout, 0.5))
-            except std_queue.Empty:
-                continue
-            if msg[0] == "started":
-                waiting.discard(msg[1])
-            elif msg[0] == "fatal":
-                self.close()
-                raise RuntimeError(
-                    f"pool worker {msg[1]} failed to initialise: {msg[2]}"
-                )
+            readers = {self._results[w]: w for w in waiting}
+            for reader in mp_connection.wait(
+                list(readers), timeout=min(timeout, 0.5)
+            ):
+                try:
+                    msg = reader.recv()
+                except (EOFError, OSError):
+                    msg = ("fatal", readers[reader], "exited before starting")
+                if msg[0] == "started":
+                    waiting.discard(msg[1])
+                elif msg[0] == "fatal":
+                    self.close()
+                    raise RuntimeError(
+                        f"pool worker {msg[1]} failed to initialise: {msg[2]}"
+                    )
 
     def alive_workers(self) -> int:
         """How many worker processes are currently alive."""
@@ -307,48 +320,57 @@ class ProcessPool:
     # -- collector -----------------------------------------------------------
     def _collect(self) -> None:
         while not self._closed:
-            try:
-                msg = self._result_q.get(timeout=0.05)
-            except std_queue.Empty:
+            ready = mp_connection.wait(
+                [r for r in self._results if r is not None], timeout=0.05
+            )
+            if not ready:
                 self._reap_dead()
-                continue
-            kind = msg[0]
-            if kind == "ok":
-                _, worker_id, task_id, slot, payload = msg
-                with self._lock:
-                    task = self._pending.pop(task_id, None)
-                if task is None:
-                    continue  # completed by a pre-respawn duplicate
-                out = self._ring.output_view(slot, task.batch)
-                logits = out[: task.n_valid].copy()
-                bits = None
-                if task.return_bits and payload is not None:
-                    bits = [stage[: task.n_valid] for stage in payload]
-                self._release_slot(slot)
-                task._resolve(logits, bits)
-            elif kind == "err":
-                _, worker_id, task_id, slot, detail = msg
-                with self._lock:
-                    task = self._pending.pop(task_id, None)
-                if task is None:
+            for reader in ready:
+                try:
+                    msg = reader.recv()
+                except (EOFError, OSError):  # its worker died
+                    self._reap_dead()
                     continue
-                self.counters["errors"] += 1
-                self._emit("pool_task_errors", 1)
-                self._release_slot(slot)
-                task._fail(RuntimeError(
-                    f"pool worker {worker_id} failed task {task_id}: {detail}"
-                ))
-            elif kind in ("stats", "spans", "alloc"):
-                _, worker_id, req_id, payload = msg
-                with self._lock:
-                    entry = self._control.get(req_id)
-                if entry is not None:
-                    box, event = entry
-                    box[worker_id] = payload
-                    event.set()
-            # "started" handshakes after a respawn need no action; a
-            # "fatal" respawn failure leaves the process dead and the
-            # next _reap_dead pass handles (or gives up on) it.
+                self._handle(msg)
+
+    def _handle(self, msg: Tuple) -> None:
+        kind = msg[0]
+        if kind == "ok":
+            _, worker_id, task_id, slot, payload = msg
+            with self._lock:
+                task = self._pending.pop(task_id, None)
+            if task is None:
+                return  # completed by a pre-respawn duplicate
+            out = self._ring.output_view(slot, task.batch)
+            logits = out[: task.n_valid].copy()
+            bits = None
+            if task.return_bits and payload is not None:
+                bits = [stage[: task.n_valid] for stage in payload]
+            self._release_slot(slot)
+            task._resolve(logits, bits)
+        elif kind == "err":
+            _, worker_id, task_id, slot, detail = msg
+            with self._lock:
+                task = self._pending.pop(task_id, None)
+            if task is None:
+                return
+            self.counters["errors"] += 1
+            self._emit("pool_task_errors", 1)
+            self._release_slot(slot)
+            task._fail(RuntimeError(
+                f"pool worker {worker_id} failed task {task_id}: {detail}"
+            ))
+        elif kind in ("stats", "spans", "alloc"):
+            _, worker_id, req_id, payload = msg
+            with self._lock:
+                entry = self._control.get(req_id)
+            if entry is not None:
+                box, event = entry
+                box[worker_id] = payload
+                event.set()
+        # "started" handshakes after a respawn need no action; a
+        # "fatal" respawn failure leaves the process dead and the
+        # next _reap_dead pass handles (or gives up on) it.
 
     def _reap_dead(self) -> None:
         """Respawn dead workers and re-dispatch their in-flight tasks."""
@@ -488,6 +510,9 @@ class ProcessPool:
         collector = getattr(self, "_collector", None)
         if collector is not None and collector.is_alive():
             collector.join(timeout=2.0)
+        for reader in self._results:
+            if reader is not None:
+                reader.close()
         with self._lock:
             leftovers = list(self._pending.values())
             self._pending.clear()

@@ -21,8 +21,10 @@ batch, iters)``
 ``("stop",)``
     Clean exit (views dropped, segments detached).
 
-Replies all carry ``worker_id`` so the parent can merge telemetry and
-track in-flight work per worker for requeue-on-death.
+Replies go over the worker's own result pipe (``results``, the write
+end of a one-way ``multiprocessing.Pipe``; no lock is shared with other
+workers) and all carry ``worker_id`` so the parent can merge telemetry
+and track in-flight work per worker for requeue-on-death.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ def worker_main(
     arena_name: str,
     buckets: Sequence[int],
     task_queue,
-    result_queue,
+    results,
     trace_sample: Optional[int] = None,
 ) -> None:
     """Entry point run inside each pool process (see module docstring)."""
@@ -67,11 +69,11 @@ def worker_main(
     try:
         plans.prewarm(buckets)
     except Exception as exc:  # noqa: BLE001 - shipped to the parent
-        result_queue.put(("fatal", worker_id, repr(exc)))
+        results.send(("fatal", worker_id, repr(exc)))
         ring.close()
         arena.close()
         return
-    result_queue.put(("started", worker_id, os.getpid()))
+    results.send(("started", worker_id, os.getpid()))
     tasks_seen = 0
 
     # Slot views and plans live only inside these helpers: worker_main's
@@ -97,9 +99,9 @@ def worker_main(
                     in_view, out=out_view, tracer=tracer if sampled else None
                 )
                 payload = None
-            result_queue.put(("ok", worker_id, task_id, slot, payload))
+            results.send(("ok", worker_id, task_id, slot, payload))
         except Exception as exc:  # noqa: BLE001 - reported per task
-            result_queue.put(("err", worker_id, task_id, slot, repr(exc)))
+            results.send(("err", worker_id, task_id, slot, repr(exc)))
 
     def handle_stats(req_id: int) -> None:
         stats = plans.stats()
@@ -108,7 +110,7 @@ def worker_main(
         stats["arena_carved_bytes"] = arena.carved_bytes
         stats["arena_overflow_bytes"] = arena.overflow_bytes
         stats["arena_capacity"] = arena.capacity
-        result_queue.put(("stats", worker_id, req_id, stats))
+        results.send(("stats", worker_id, req_id, stats))
 
     def handle_alloccheck(req_id: int, batch: int, iters: int) -> None:
         try:
@@ -119,7 +121,7 @@ def worker_main(
             report = measure_steady_state(
                 lambda: plan.execute(in_view, out=out_view), iters=iters
             )
-            result_queue.put((
+            results.send((
                 "alloc",
                 worker_id,
                 req_id,
@@ -130,7 +132,7 @@ def worker_main(
                 },
             ))
         except Exception as exc:  # noqa: BLE001 - reported
-            result_queue.put(("alloc", worker_id, req_id, {"error": repr(exc)}))
+            results.send(("alloc", worker_id, req_id, {"error": repr(exc)}))
 
     try:
         while True:
@@ -144,7 +146,7 @@ def worker_main(
             elif kind == "stats":
                 handle_stats(msg[1])
             elif kind == "spans":
-                result_queue.put(
+                results.send(
                     ("spans", worker_id, msg[1], journal.snapshot())
                 )
             elif kind == "alloccheck":

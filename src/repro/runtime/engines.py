@@ -12,7 +12,8 @@ engine             datapath
 =================  =========================================================
 ``interpreted``    stage-by-stage reference loop (XNOR+popcount on packed
                    rows; the golden semantics)
-``planned-blas``   precompiled plan, one float32-exact sgemm per stage
+``planned-blas``   precompiled plan, one float32-exact sgemm per stage;
+                   batches of 16+ images shard over the cores
 ``process``        planned buckets over the shared-memory process pool
 =================  =========================================================
 
@@ -23,10 +24,12 @@ every registered engine to that, ``return_bits`` traces included.
 
 from __future__ import annotations
 
+import functools
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.runtime import shards
 from repro.runtime.config import ExecutionConfig
 from repro.runtime.registry import (
     EngineCapabilities,
@@ -154,7 +157,10 @@ class PlannedEngine(_BaseEngine):
 
     Plans come from the accelerator's shared
     :class:`~repro.hw.plan.PlanCache`, so cache counters aggregate
-    across engines and serving dashboards.
+    across engines and serving dashboards. A batch of at least 16
+    images runs as one shard per core (:mod:`repro.runtime.shards`),
+    each on its own thread's plan, unless a server owns the cores;
+    ``return_bits`` (debug) batches never shard.
     """
 
     name = "planned-blas"
@@ -166,6 +172,23 @@ class PlannedEngine(_BaseEngine):
         return {"engine": self.name, **self.accelerator.plans.stats()}
 
     def _run_one(self, batch, return_bits):
+        n = batch.shape[0]
+        k = 1 if return_bits else shards.shard_count(n)
+        if k == 1:
+            return self._execute(batch, return_bits)
+        logits = np.empty((n, self.accelerator.num_classes), np.int64)
+        bounds = [n * i // k for i in range(k + 1)]
+        shards.run_shards([
+            functools.partial(
+                self._execute, batch[lo:hi], False, out=logits[lo:hi],
+                shard=i,
+            )
+            for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+        ])
+        return logits
+
+    def _execute(self, batch, return_bits, out=None, shard=None):
+        """One plan call on this thread's plan, under an ``hw.plan`` span."""
         acc = self.accelerator
         n = batch.shape[0]
         plan, cache_hit = acc.plans.get(n)
@@ -189,9 +212,12 @@ class PlannedEngine(_BaseEngine):
                     "fused_stages": plan.fused_stages,
                 },
             )
+            if shard is not None:
+                plan_span.set_attribute("shard", shard)
         try:
             return plan.execute(
                 batch,
+                out=out,
                 return_bits=return_bits,
                 tracer=tracer if recording else None,
                 parent=plan_span,

@@ -1,15 +1,21 @@
-"""One BLAS thread inside serving workers.
+"""One BLAS thread while something else owns the cores.
 
-The server's worker threads (and the process pool's worker processes)
-are its parallelism. If OpenBLAS also runs its own helper threads inside
-every GEMM, two workers with two helpers each oversubscribe a 2-core
-host, and the tail latency of the planned engine spikes. So the serving
-layer runs BLAS single-threaded while it is up:
+The cores belong either to a server's workers or to the planned
+engine's shards, never both, and never also to OpenBLAS's own helper
+threads. The server's worker threads (and the process pool's worker
+processes) are its parallelism: if OpenBLAS also runs helper threads
+inside every GEMM, two workers with two helpers each oversubscribe a
+2-core host, and the tail latency of the planned engine spikes. The
+engine's shard threads (:mod:`repro.runtime.shards`) are the same
+case for one large batch. So both run BLAS single-threaded:
 
 * :func:`hold_single_thread` / :func:`release_single_thread` bracket a
-  server's lifetime. They are refcounted, so overlapping servers
-  compose: the first hold sets one thread, the last release restores the
-  count that was there before.
+  server's lifetime, or one sharded run. They are refcounted, so
+  overlapping holders compose: the first hold sets one thread, the last
+  release restores the count that was there before.
+* :func:`held` says whether anyone holds the cores right now. The
+  engine reads it and runs a batch unsharded while a server (or another
+  sharded run) owns them.
 * :func:`set_blas_threads` sets the count outright (a pool worker
   process calls it once and never restores).
 
@@ -33,6 +39,7 @@ import numpy as np
 __all__ = [
     "blas_threads",
     "set_blas_threads",
+    "held",
     "hold_single_thread",
     "release_single_thread",
 ]
@@ -46,7 +53,7 @@ _SYMBOLS = (
     ("openblas", ""),
 )
 
-# Process-wide, like the OpenBLAS thread count they guard: every server
+# Process-wide, like the OpenBLAS thread count they guard: every holder
 # in the process shares one refcount.
 _LOCK = threading.Lock()
 _holds = 0
@@ -108,6 +115,11 @@ def set_blas_threads(n: int) -> Optional[int]:
     previous = int(getter())
     setter(int(n))
     return previous
+
+
+def held() -> bool:
+    """Whether a server or a sharded run holds single-threaded BLAS."""
+    return _holds > 0
 
 
 def hold_single_thread() -> None:

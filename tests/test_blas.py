@@ -1,4 +1,4 @@
-"""Tests for ``repro.utils.blas``: one BLAS thread inside serving workers.
+"""Tests for ``repro.utils.blas``: one BLAS thread while servers or shards own the cores.
 
 Skipped when numpy's BLAS is not OpenBLAS (MKL, Accelerate): the helper
 then does nothing by design.
@@ -75,10 +75,21 @@ def test_concurrent_holds_keep_the_refcount(two_threads):
     assert blas.blas_threads() == two_threads
 
 
+def test_held_tracks_the_refcount(two_threads):
+    assert not blas.held()
+    blas.hold_single_thread()
+    blas.hold_single_thread()
+    assert blas.held()
+    blas.release_single_thread()
+    assert blas.held()
+    blas.release_single_thread()
+    assert not blas.held()
+
+
 def test_server_runs_blas_single_threaded(two_threads):
     server = InferenceServer([_Backend()], ServingConfig(num_workers=1))
     with server:
-        assert blas.blas_threads() == 1
+        assert blas.blas_threads() == 1 and blas.held()
         server.predict(np.zeros((3, 4, 4, 3), dtype=np.float32))
     assert blas.blas_threads() == two_threads
 

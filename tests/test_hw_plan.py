@@ -10,7 +10,8 @@ Locks the tentpole's contract:
    and a stale plan (arena cleared underneath it) is never reused;
 3. steady-state planned execution performs zero heap allocations
    (tracemalloc gate over every Table I prototype);
-4. the ``hw_plan`` telemetry span behaves;
+4. the ``hw_plan`` telemetry span behaves, and a sharded run journals
+   one per shard, each with its stage spans, under the run's span;
 5. thresholds rebased into the 0/1-activation domain fire exactly where
    the reference's do — ties, range-edge thresholds and flipped
    channels in pooled and unpooled stages — and non-2×2 pools fuse.
@@ -468,6 +469,38 @@ class TestTelemetry:
         assert summary.plan.cache_hits == 1
         assert summary.plan.cache_misses == 1
         assert "execution plans: 2 planned batches" in summary.render()
+
+    def test_sharded_run_nests_shard_spans_under_the_run(
+        self, seed_batch, monkeypatch
+    ):
+        from repro.runtime import shards
+        from repro.telemetry import SpanJournal, Tracer, activate, deactivate
+
+        monkeypatch.setattr(shards, "host_cores", lambda: 2)
+        acc = build_accelerator("n-cnv")
+        images = np.concatenate([seed_batch] * 4)
+        journal = SpanJournal()
+        activate(Tracer(journal=journal))
+        try:
+            acc.run(images)
+        finally:
+            deactivate()
+        spans = journal.snapshot()
+        (run,) = [s for s in spans if s["name"] == "runtime.planned-blas"]
+        plans = sorted(
+            (s for s in spans if s["kind"] == "hw_plan"),
+            key=lambda s: s["attributes"]["shard"],
+        )
+        assert [s["attributes"]["shard"] for s in plans] == [0, 1]
+        assert [s["attributes"]["images"] for s in plans] == [8, 8]
+        assert all(s["parent_id"] == run["span_id"] for s in plans)
+        for plan in plans:
+            stages = [
+                s["name"] for s in spans
+                if s["kind"] == "hw_stage" and s["parent_id"] == plan["span_id"]
+            ]
+            assert stages == [f"hw.{st.name}" for st in acc.stages]
+            assert len(stages) == 9
 
     def test_summary_without_plan_spans_stays_none(self):
         from repro.telemetry.summary import summarize_spans

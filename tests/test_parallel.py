@@ -8,7 +8,8 @@ Locks the tentpole's contract:
    LRU from ever evicting;
 2. the multi-process pool is bit-exact against the single-process
    planned path for every Table I prototype — logits (the PR3 golden
-   capture), labels and ``return_bits`` traces;
+   capture), labels and ``return_bits`` traces — also when forked after
+   the planned engine sharded a batch over helper threads;
 3. a SIGKILLed worker loses no accepted request: orphaned slots are
    requeued to a respawned worker and the pool reports healthy again;
 4. the per-worker zero-allocation steady state survives the move into
@@ -321,6 +322,23 @@ class TestPoolBitExact:
         assert np.array_equal(
             tiny_pool.execute(images), tiny_acc.run(images, REFERENCE)
         )
+
+    def test_pool_forked_after_a_sharded_run_is_bit_exact(
+        self, tiny_acc, monkeypatch
+    ):
+        # The workers fork from a parent whose shard team has a helper
+        # thread; they must neither inherit it nor hang on it.
+        from repro.runtime import shards
+
+        monkeypatch.setattr(shards, "host_cores", lambda: 2)
+        rng = np.random.default_rng(17)
+        images = rng.random((16, 8, 8, 3)).astype(np.float32)
+        ref = tiny_acc.run(images, REFERENCE)
+        assert shards.shard_count(len(images)) == 2
+        assert np.array_equal(tiny_acc.run(images), ref)
+        with ProcessPool(tiny_acc, num_workers=1, max_batch=16,
+                         buckets=(16,)) as pool:
+            assert np.array_equal(pool.execute(images), ref)
 
     def test_accelerator_predict_process_mode(self, tiny_acc):
         rng = np.random.default_rng(13)

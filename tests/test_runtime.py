@@ -15,10 +15,19 @@ Locks the contract:
 4. ``ServingConfig.bucket_sizes`` rejects unsorted, duplicate and
    non-positive bucket lists eagerly;
 5. ``repro engines`` lists every engine with its flags, in table and
-   JSON form.
+   JSON form;
+6. the planned engine's shard team is safe to lose a shard on: a
+   helper's error reaches the caller after the caller's own shard
+   finished, the BLAS hold is released, the team serves the next call,
+   concurrent callers stay bit-exact, and a forked child gets a team of
+   its own.
 """
 
 import json
+import multiprocessing
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -35,10 +44,12 @@ from repro.runtime import (
     engine_table,
     register_engine,
     resolve_engine_name,
+    shards,
 )
-from repro.runtime.engines import Engine
+from repro.runtime.engines import Engine, PlannedEngine
 from repro.serving import ServingConfig
 from repro.testing import make_tiny_bnn, randomize_bn_stats
+from repro.utils import blas
 
 ENGINES = ("interpreted", "planned-blas", "process")
 
@@ -284,3 +295,106 @@ class TestEnginesCli:
             }
         assert payload["default_config"]["use_plan"] is True
         assert len(payload["resolution"]) == 4
+
+
+# -- sharded planned runs --------------------------------------------------
+REFERENCE = ExecutionConfig(use_plan=False)
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """Shard over two cores whatever the runner has; BLAS starts at 2."""
+    monkeypatch.setattr(shards, "host_cores", lambda: 2)
+    previous = blas.blas_threads()
+    if previous is not None:
+        blas.set_blas_threads(2)
+    yield
+    if previous is not None:
+        blas.set_blas_threads(previous)
+
+
+@pytest.fixture(scope="module")
+def crowd():
+    """32 images (two 16-image shards) and their reference logits."""
+    acc = build_tiny_accelerator()
+    images = np.random.default_rng(5).random((32, 8, 8, 3)).astype(np.float32)
+    return acc, images, acc.run(images, REFERENCE)
+
+
+def _run_sharded_in_child(acc, images, golden):
+    assert shards.shard_count(len(images)) == 2
+    np.testing.assert_array_equal(acc.run(images), golden)
+
+
+class TestSharding:
+    def test_helper_error_reaches_caller_after_its_own_shard(
+        self, two_cores, crowd, monkeypatch
+    ):
+        acc, images, golden = crowd
+        threads_before = blas.blas_threads()
+        execute = PlannedEngine._execute
+        finished = []
+
+        def flaky(self, batch, return_bits, out=None, shard=None):
+            if shard == 1:
+                raise RuntimeError("helper shard failed")
+            result = execute(self, batch, return_bits, out=out, shard=shard)
+            finished.append((shard, threading.get_ident()))
+            return result
+
+        monkeypatch.setattr(PlannedEngine, "_execute", flaky)
+        with pytest.raises(RuntimeError, match="helper shard failed"):
+            acc.run(images)
+        assert finished == [(0, threading.get_ident())]
+        assert not blas.held()
+        assert blas.blas_threads() == threads_before
+        monkeypatch.setattr(PlannedEngine, "_execute", execute)
+        np.testing.assert_array_equal(acc.run(images), golden)
+
+    def test_concurrent_callers_stay_bit_exact(self, two_cores, crowd):
+        # More callers than cores, switching threads often: every caller
+        # gets its own logits and the last one out restores BLAS.
+        acc, images, golden = crowd
+        threads_before = blas.blas_threads()
+        start = threading.Barrier(4)
+        results = {}
+
+        def caller(name):
+            start.wait()
+            results[name] = [acc.run(images) for _ in range(10)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=caller, args=(i,)) for i in range(4)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(results) == [0, 1, 2, 3]
+        for logits in sum(results.values(), []):
+            np.testing.assert_array_equal(logits, golden)
+        assert not blas.held()
+        assert blas.blas_threads() == threads_before
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_gets_a_working_team(self, two_cores, crowd):
+        acc, images, golden = crowd
+        np.testing.assert_array_equal(acc.run(images), golden)
+        helpers = [t.name for t in threading.enumerate()]
+        assert any(name.startswith("repro-shard") for name in helpers)
+        child = multiprocessing.get_context("fork").Process(
+            target=_run_sharded_in_child, args=(acc, images, golden)
+        )
+        child.start()
+        child.join(timeout=60.0)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("forked child hung on the parent's shard team")
+        assert child.exitcode == 0

@@ -4,7 +4,8 @@ Every registered engine must reproduce the interpreted reference
 datapath exactly — logits for every Table I prototype under both input
 dtypes, and ``return_bits`` traces where the engine supports them —
 both with seeded random batch-norm statistics and with flipped and
-constant channels.
+constant channels. The planned engine is also held to it on batches it
+shards over the cores, even and uneven.
 This is the contract the capability flag ``bit_exact`` declares; a new
 engine registered without passing this file is a registry bug. Every
 engine also answers each input outside the accelerator's
@@ -21,7 +22,7 @@ import pytest
 
 from repro.core.architectures import build_architecture, table1_folding
 from repro.hw.compiler import compile_model
-from repro.runtime import ExecutionConfig, create_engine, engine_names
+from repro.runtime import ExecutionConfig, create_engine, engine_names, shards
 from repro.testing import randomize_bn_stats
 
 PROTOTYPES = ("cnv", "n-cnv", "u-cnv")
@@ -67,9 +68,9 @@ def accelerators():
     return {name: build_accelerator(name) for name in MODELS}
 
 
-def seed_batch(dtype):
+def seed_batch(dtype, n=4):
     rng = np.random.default_rng(1234)
-    images = rng.random((4, 32, 32, 3)).astype(np.float32)
+    images = rng.random((n, 32, 32, 3)).astype(np.float32)
     if dtype == "uint8":
         return (images * 255).astype(np.uint8)
     return images
@@ -78,6 +79,26 @@ def seed_batch(dtype):
 def reference_logits(accelerator, images, return_bits=False):
     engine = create_engine(accelerator, ENGINE_CONFIGS["interpreted"])
     return engine.run(images, return_bits=return_bits)
+
+
+#: (engine, dtype, batch, cores) cases of the logits contract: the seed
+#: batch on every in-process engine, then batches the planned engine
+#: shards — 16 evenly, 17 and 33 unevenly — with the host's core count
+#: pinned to 2 and to 3 so the runner's CPUs do not decide whether the
+#: sharded path runs.
+LOGIT_CASES = [
+    pytest.param(engine, dtype, 4, None, id=f"{engine}-{dtype}")
+    for engine in IN_PROCESS
+    for dtype in ("f32", "uint8")
+] + [
+    pytest.param(
+        "planned-blas", dtype, n, cores,
+        id=f"planned-blas-{dtype}-n{n}-cores{cores}",
+    )
+    for dtype in ("f32", "uint8")
+    for n in (16, 17, 33)
+    for cores in (2, 3)
+]
 
 
 def test_every_registered_engine_is_covered():
@@ -100,16 +121,38 @@ def test_flipped_models_have_flipped_and_constant_channels(accelerators, arch):
         assert (flipped > 0, constant > 0) == (want, want), name
 
 
-@pytest.mark.parametrize("dtype", ["f32", "uint8"])
-@pytest.mark.parametrize("engine_name", IN_PROCESS)
+@pytest.fixture(scope="module")
+def golden_logits(accelerators):
+    """Interpreted logits per (model, dtype, batch), computed once."""
+    cache = {}
+
+    def get(arch, dtype, n):
+        key = (arch, dtype, n)
+        if key not in cache:
+            cache[key] = reference_logits(
+                accelerators[arch], seed_batch(dtype, n)
+            )
+        return cache[key]
+
+    return get
+
+
+@pytest.mark.parametrize("engine_name, dtype, n, cores", LOGIT_CASES)
 @pytest.mark.parametrize("arch", MODELS)
-def test_engine_matches_interpreted_logits(accelerators, arch, engine_name, dtype):
+def test_engine_matches_interpreted_logits(
+    accelerators, golden_logits, monkeypatch, arch, engine_name, dtype, n,
+    cores,
+):
+    if cores is not None:
+        monkeypatch.setattr(shards, "host_cores", lambda: cores)
+        assert shards.shard_count(n) == min(cores, n // shards.MIN_SHARD) > 1
     acc = accelerators[arch]
-    images = seed_batch(dtype)
-    golden = reference_logits(acc, images)
+    images = seed_batch(dtype, n)
     engine = create_engine(acc, ENGINE_CONFIGS[engine_name])
     assert engine.name == engine_name
-    np.testing.assert_array_equal(engine.run(images), golden)
+    np.testing.assert_array_equal(
+        engine.run(images), golden_logits(arch, dtype, n)
+    )
 
 
 @pytest.mark.parametrize("engine_name", ["planned-blas"])

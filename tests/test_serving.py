@@ -307,6 +307,34 @@ class TestBackends:
         assert backend.max_concurrency == 1
         assert backend.modelled_batch_seconds(8) > backend.modelled_batch_seconds(1)
 
+    def test_running_server_keeps_the_cores(self, tiny_bnn, monkeypatch):
+        # While a server's workers own the cores, a large batch run from
+        # another thread stays on that thread: one new plan, no shards.
+        from repro.runtime import shards
+
+        monkeypatch.setattr(shards, "host_cores", lambda: 2)
+        folding = FoldingConfig(pe=(1, 1, 1, 1), simd=(1, 1, 1, 1))
+        acc = compile_model(tiny_bnn, folding)
+        images = grid_images(32, hw=8)
+        expected = acc.run(images, ExecutionConfig(use_plan=False))
+        compiled = []
+        get = acc.plans.get
+
+        def spy(batch_size):
+            plan, hit = get(batch_size)
+            if not hit:
+                compiled.append((batch_size, threading.get_ident()))
+            return plan, hit
+
+        monkeypatch.setattr(acc.plans, "get", spy)
+        with InferenceServer.from_accelerator(acc):
+            np.testing.assert_array_equal(acc.run(images), expected)
+        assert compiled == [(32, threading.get_ident())]
+        compiled.clear()
+        acc.run(images)  # the cores are free again: one plan per shard
+        assert sorted(n for n, _ in compiled) == [16, 16]
+        assert len({ident for _, ident in compiled}) == 2
+
     def test_classifier_backend_scales_integer_pixels(
         self, trained_tiny_classifier
     ):
