@@ -3,7 +3,8 @@
 
 The paper's deployment story — entrances serving crowds at up to
 ~6400 FPS — needs a request path, not just `predict()`. This example
-stands up `repro.serving.InferenceServer` over a trained classifier,
+stands up `repro.serving.InferenceServer` over a trained classifier's
+deployed accelerator (`clf.deploy()`, the integer datapath the board runs),
 replays synthetic gate-camera traffic (Poisson arrivals of face tiles
 from `repro.data.stream`) at increasing offered loads, and prints what
 the serving layer is for:
@@ -42,6 +43,7 @@ def main() -> None:
     print("loading (or training) n-CNV from the model zoo ...")
     clf = trained_classifier("n-cnv", splits=dataset_cached(),
                              dataset_key={"default_dataset": True})
+    accelerator = clf.deploy()
     config = ServingConfig(
         max_batch_size=args.max_batch,
         queue_capacity=args.queue_capacity,
@@ -52,7 +54,7 @@ def main() -> None:
 
     # A lone request: a free worker takes it at once, so it pays one
     # inference plus dispatch.
-    with InferenceServer.from_classifier(clf, config) as server:
+    with InferenceServer.from_accelerator(accelerator, config) as server:
         time.sleep(0.1)  # let workers reach their idle poll
         handle = server.submit(tiles[0])
         label = handle.result(timeout=5.0)
@@ -61,7 +63,7 @@ def main() -> None:
 
     print("\nopen-loop sweep (Poisson arrivals, server may shed past saturation):")
     for rate in args.rates:
-        with InferenceServer.from_classifier(clf, config) as server:
+        with InferenceServer.from_accelerator(accelerator, config) as server:
             result = run_open_loop(server, tiles, rate_hz=rate,
                                    duration_s=args.duration, rng=args.seed + 1)
             stats = server.stats()
@@ -74,7 +76,7 @@ def main() -> None:
         max_batch_size=1,
         queue_capacity=args.queue_capacity, num_workers=2,
     )
-    with InferenceServer.from_classifier(clf, config1) as server:
+    with InferenceServer.from_accelerator(accelerator, config1) as server:
         result1 = run_open_loop(server, tiles, rate_hz=max(args.rates),
                                 duration_s=args.duration, rng=args.seed + 1)
     print(result1.report())

@@ -66,7 +66,7 @@ def main() -> None:
     journal = SpanJournal()
     activate(Tracer(sample_every=args.sample_every, journal=journal))
 
-    server = InferenceServer([backend], config)
+    server = InferenceServer(backend, config)
     with server:
         # 2. Health probes: what an orchestrator would poll.
         print(server.health(smoke=True).render())

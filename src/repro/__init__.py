@@ -15,8 +15,8 @@ paper relies on:
 * :mod:`repro.core` — BinaryCoP itself: the CNV/n-CNV/µ-CNV prototypes,
   training, Grad-CAM interpretability and deployment scenarios;
 * :mod:`repro.serving` — a dynamically-batched, backpressured inference
-  server multiplexing gate-camera traffic over the software and
-  accelerator backends (``repro serve`` on the CLI).
+  server multiplexing gate-camera traffic onto the deployed accelerator
+  datapath (``repro serve`` on the CLI).
 
 Quickstart::
 

@@ -8,11 +8,10 @@ Wraps the library's main workflows for shell users:
   profile (timing, resources, buffers, power, device fit);
 * ``report``   — the complete markdown reproduction report;
 * ``info``     — architecture catalog (Table I facts);
-* ``serve``    — run the dynamic-batching inference server against a
-  synthetic open-loop gate-camera arrival process (``--telemetry`` /
-  ``--trace-out`` record a span journal);
-* ``serve-bench`` — sweep offered load through the server and tabulate
-  throughput, latency percentiles and shed/rejected counts;
+* ``serve``    — run the dynamic-batching inference server on the
+  deployed accelerator against a synthetic open-loop gate-camera
+  arrival process (``--telemetry`` / ``--trace-out`` record a span
+  journal);
 * ``trace``    — summarize a saved span journal: critical path,
   per-span-kind percentiles, slowest-stage table with modelled vs
   measured bottleneck;
@@ -93,59 +92,50 @@ def build_parser() -> argparse.ArgumentParser:
     p_info = sub.add_parser("info", help="architecture catalog (Table I)")
     p_info.add_argument("--arch", default=None, choices=BINARY_ARCHS)
 
-    def add_serving_args(p) -> None:
-        p.add_argument("--model", type=Path, required=True,
-                       help="trained checkpoint (.npz)")
-        p.add_argument("--backend", default="software",
-                       choices=("software", "accelerator", "both", "process"),
-                       help="primary backend; 'both' adds the accelerator "
-                            "simulator as fallback; 'process' fans planned "
-                            "batches across a multi-process pool")
-        p.add_argument("--max-batch", type=int, default=32)
-        p.add_argument("--buckets", type=int, nargs="+", default=None,
-                       metavar="N",
-                       help="pad micro-batches up to these sizes so "
-                            "shape-keyed backends compile a fixed plan set "
-                            "(largest must cover --max-batch)")
-        p.add_argument("--pool-workers", type=int, default=None,
-                       help="process-pool worker count (default: one per "
-                            "physical core, capped at 4)")
-        p.add_argument("--queue-capacity", type=int, default=256)
-        p.add_argument("--workers", type=int, default=2)
-        p.add_argument("--timeout-ms", type=float, default=None,
-                       help="per-request deadline (default: none)")
-        p.add_argument("--tile-pool", type=int, default=24,
-                       help="pre-rendered gate-camera face tiles to replay")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--telemetry", action="store_true",
-                       help="activate trace spans and print a trace "
-                            "summary after the run")
-        p.add_argument("--trace-sample", type=int, default=1, metavar="N",
-                       help="record every Nth request trace (default: "
-                            "all)")
-        p.add_argument("--trace-out", type=Path, default=None, metavar="FILE",
-                       help="save the span journal as JSON (implies "
-                            "--telemetry)")
-
     p_serve = sub.add_parser(
         "serve", help="dynamic-batching server on synthetic gate traffic"
     )
-    add_serving_args(p_serve)
+    p_serve.add_argument("--model", type=Path, required=True,
+                         help="trained checkpoint (.npz) of a binary "
+                              "prototype; the server runs its deployed "
+                              "accelerator")
+    p_serve.add_argument("--backend", default="accelerator",
+                         choices=("accelerator", "process"),
+                         help="'accelerator' runs the engine in the server's "
+                              "worker threads; 'process' fans planned "
+                              "batches across a multi-process pool")
+    p_serve.add_argument("--max-batch", type=int, default=32)
+    p_serve.add_argument("--buckets", type=int, nargs="+", default=None,
+                         metavar="N",
+                         help="pad micro-batches up to these sizes so "
+                              "shape-keyed backends compile a fixed plan set "
+                              "(largest must cover --max-batch)")
+    p_serve.add_argument("--pool-workers", type=int, default=None,
+                         help="process-pool worker count (default: one per "
+                              "physical core, capped at 4)")
+    p_serve.add_argument("--queue-capacity", type=int, default=256)
+    p_serve.add_argument("--workers", type=int, default=2)
+    p_serve.add_argument("--timeout-ms", type=float, default=None,
+                         help="per-request deadline (default: none)")
+    p_serve.add_argument("--tile-pool", type=int, default=24,
+                         help="pre-rendered gate-camera face tiles to replay")
+    p_serve.add_argument("--seed", type=int, default=0)
+    p_serve.add_argument("--telemetry", action="store_true",
+                         help="activate trace spans and print a trace "
+                              "summary after the run")
+    p_serve.add_argument("--trace-sample", type=int, default=1, metavar="N",
+                         help="record every Nth request trace (default: "
+                              "all)")
+    p_serve.add_argument("--trace-out", type=Path, default=None,
+                         metavar="FILE",
+                         help="save the span journal as JSON (implies "
+                              "--telemetry)")
     p_serve.add_argument("--rate", type=float, default=200.0,
                          help="offered load, requests/second")
     p_serve.add_argument("--duration", type=float, default=2.0,
                          help="seconds of open-loop traffic")
     p_serve.add_argument("--report-every", type=float, default=1.0,
                          help="periodic stats interval (0 disables)")
-
-    p_sbench = sub.add_parser(
-        "serve-bench", help="offered-load sweep through the server"
-    )
-    add_serving_args(p_sbench)
-    p_sbench.add_argument("--rates", type=float, nargs="+",
-                          default=[100.0, 400.0, 1600.0])
-    p_sbench.add_argument("--duration", type=float, default=2.0,
-                          help="seconds of traffic per rate")
 
     p_trace = sub.add_parser(
         "trace", help="summarize a saved trace journal (from --trace-out)"
@@ -259,10 +249,19 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _cmd_deploy(args) -> int:
-    clf = BinaryCoP.load(args.model)
+def _load_deployable(path) -> Optional[BinaryCoP]:
+    """The checkpoint's classifier, or None (error printed) when it is
+    the FP32 baseline, which does not compile to the accelerator."""
+    clf = BinaryCoP.load(path)
     if not clf.is_binary:
         print("error: the FP32 baseline is not deployable", file=sys.stderr)
+        return None
+    return clf
+
+
+def _cmd_deploy(args) -> int:
+    clf = _load_deployable(args.model)
+    if clf is None:
         return 2
     accelerator = clf.deploy()
     print(analyze_pipeline(accelerator, args.clock_mhz).report())
@@ -308,20 +307,11 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _build_server(args):
-    """Shared serve/serve-bench setup: checkpoint -> backends -> server."""
-    from repro.serving import (
-        AcceleratorBackend,
-        ClassifierBackend,
-        InferenceServer,
-        ProcessPoolBackend,
-        ServingConfig,
-    )
-
+def _build_server(args, clf):
+    """A server over ``clf.deploy()``, in process or across a pool."""
     from repro.runtime import ExecutionConfig
+    from repro.serving import InferenceServer, ServingConfig
 
-    clf = BinaryCoP.load(args.model)
-    print(f"loaded {clf.architecture} from {args.model}")
     config = ServingConfig(
         max_batch_size=args.max_batch,
         queue_capacity=args.queue_capacity,
@@ -331,37 +321,27 @@ def _build_server(args):
         ),
         bucket_sizes=tuple(args.buckets) if args.buckets else None,
     )
-    backends = []
-    if args.backend in ("software", "both"):
-        backends.append(ClassifierBackend(clf))
-    if args.backend in ("accelerator", "both"):
-        backends.append(AcceleratorBackend(clf.deploy()))
+    execution = None
     if args.backend == "process":
-        backends.append(
-            ProcessPoolBackend(
-                clf.deploy(),
-                buckets=config.bucket_sizes,
-                max_batch=config.max_batch_size,
-                execution=ExecutionConfig(
-                    isolation="process",
-                    workers=args.pool_workers,
-                    trace_sample=(
-                        args.trace_sample
-                        if (args.telemetry or args.trace_out is not None)
-                        else None
-                    ),
-                ),
-            )
+        execution = ExecutionConfig(
+            isolation="process",
+            workers=args.pool_workers,
+            trace_sample=(
+                args.trace_sample
+                if (args.telemetry or args.trace_out is not None)
+                else None
+            ),
         )
-    names = " -> ".join(
-        f"{b.name} (x{b.max_concurrency})" for b in backends
+    server = InferenceServer.from_accelerator(
+        clf.deploy(), config, execution=execution
     )
-    print(f"backends: {names}")
-    return InferenceServer(backends, config)
+    backend = server.backends[0]
+    print(f"backend: {backend.name} (x{backend.max_concurrency})")
+    return server
 
 
 def _start_telemetry(args):
-    """Activate tracing for serve/serve-bench when requested.
+    """Activate tracing for serve when requested.
 
     Returns the journal (or None). ``--trace-out`` implies telemetry.
     """
@@ -400,13 +380,15 @@ def _cmd_serve(args) -> int:
 
     from repro.serving import StatsReporter, face_tile_pool, run_open_loop
 
+    clf = _load_deployable(args.model)
+    if clf is None:
+        return 2
+    print(f"loaded {clf.architecture} from {args.model}")
     journal = _start_telemetry(args)
-    server = _build_server(args)
-    if journal is not None:
-        for backend in server.backends:
-            bind = getattr(backend, "bind_journal", None)
-            if bind is not None:
-                bind(journal)
+    server = _build_server(args, clf)
+    bind = getattr(server.backends[0], "bind_journal", None)
+    if journal is not None and bind is not None:
+        bind(journal)
     print(f"rendering {args.tile_pool} gate-camera tiles ...")
     tiles = face_tile_pool(args.tile_pool, rng=args.seed)
     reporter = None
@@ -457,51 +439,6 @@ def _cmd_serve(args) -> int:
     if interrupted:
         return 0
     return 0 if result.completed else 1
-
-
-def _cmd_serve_bench(args) -> int:
-    from repro.serving import face_tile_pool, run_open_loop
-    from repro.utils.tables import render_table
-
-    journal = _start_telemetry(args)
-    server_factory = lambda: _build_server(args)  # noqa: E731
-    print(f"rendering {args.tile_pool} gate-camera tiles ...")
-    tiles = face_tile_pool(args.tile_pool, rng=args.seed)
-    rows = []
-    try:
-        for rate in args.rates:
-            server = server_factory()
-            with server:
-                result = run_open_loop(
-                    server, tiles, rate_hz=rate, duration_s=args.duration,
-                    rng=args.seed + 1,
-                )
-                stats = server.stats()
-            p50 = result.latency_percentile(50) * 1e3 if result.latencies_s else float("nan")
-            p95 = result.latency_percentile(95) * 1e3 if result.latencies_s else float("nan")
-            p99 = result.latency_percentile(99) * 1e3 if result.latencies_s else float("nan")
-            rows.append(
-                [
-                    f"{rate:,.0f}",
-                    f"{result.offered}",
-                    f"{result.achieved_qps:,.0f}",
-                    f"{p50:.1f}/{p95:.1f}/{p99:.1f}",
-                    f"{stats.mean_batch_size:.1f}",
-                    f"{result.rejected + result.shed}",
-                    f"{result.timed_out}",
-                ]
-            )
-    finally:
-        _finish_telemetry(args, journal)
-    print(
-        render_table(
-            ["offered/s", "requests", "QPS", "p50/p95/p99 ms",
-             "mean batch", "rejected+shed", "timed out"],
-            rows,
-            title="serve-bench: offered load sweep",
-        )
-    )
-    return 0
 
 
 def _cmd_trace(args) -> int:
@@ -692,7 +629,6 @@ _COMMANDS = {
     "report": _cmd_report,
     "info": _cmd_info,
     "serve": _cmd_serve,
-    "serve-bench": _cmd_serve_bench,
     "trace": _cmd_trace,
     "metrics": _cmd_metrics,
     "lint": _cmd_lint,

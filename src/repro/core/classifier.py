@@ -8,7 +8,6 @@ paper's Table I dimensioning.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Tuple
@@ -105,7 +104,6 @@ class BinaryCoP:
         self.model: Sequential = build_architecture(architecture, rng=rng)
         self._rng_seed = rng
         self.history: Optional[History] = None
-        self._accelerator: Optional[FinnAccelerator] = None
 
     @property
     def is_binary(self) -> bool:
@@ -156,70 +154,20 @@ class BinaryCoP:
             early_stopping=stopper,
             verbose=verbose,
         )
-        # Any accelerator compiled for predict(execution=...) captured the
-        # pre-training weights; drop it so the next use recompiles.
-        if self._accelerator is not None:
-            self._accelerator.close_pool()
-            self._accelerator = None
         return self.history
 
     # -- inference -----------------------------------------------------------
-    def predict(
-        self,
-        images: np.ndarray,
-        chunk_size: int = 256,
-        num_workers: Optional[int] = None,
-        execution=None,
-    ) -> np.ndarray:
-        """Argmax class predictions (software float path).
+    def predict(self, images: np.ndarray, chunk_size: int = 256) -> np.ndarray:
+        """Argmax class predictions of the float model (evaluation path).
 
+        This is what Table I accuracy and Grad-CAM describe; the
+        deployed integer datapath is ``self.deploy().predict(...)``.
         Arbitrary-size inputs are evaluated in chunks of ``chunk_size``
-        images so a huge batch (e.g. coalesced by the serving layer)
-        cannot blow up memory in one forward pass. ``num_workers`` runs
-        the chunks thread-parallel: numpy's GEMM/im2col kernels release
-        the GIL, and an inference-mode forward writes no model state the
-        next forward reads, so concurrent chunks give identical results
-        to serial (note the layers' autograd caches are not meaningful
-        afterwards — irrelevant for prediction).
-
-        ``execution`` switches to the compiled integer datapath: the
-        Table I accelerator is compiled (and cached) and the batch
-        dispatched through the :mod:`repro.runtime` engine the config
-        resolves to — predictions agree with the float path wherever the
-        quantised input does. There ``num_workers`` sizes the process
-        pool, so it needs ``isolation="process"``.
+        images so a huge batch cannot blow up memory in one forward pass.
         """
-        if execution is not None:
-            if self._accelerator is None:
-                self._accelerator = self.deploy()
-            return self._accelerator.predict(
-                images, execution=execution.merged(workers=num_workers)
-            )
         if images.ndim == 3:
             images = images[None]
-        if num_workers is not None and num_workers <= 0:
-            raise ValueError(f"num_workers must be positive, got {num_workers}")
-        if num_workers is None or num_workers == 1 or len(images) <= chunk_size:
-            return predict_classes(self.model, images, chunk_size)
-        was_training = self.model.training
-        self.model.eval()
-        try:
-            chunks = [
-                images[start : start + chunk_size]
-                for start in range(0, len(images), chunk_size)
-            ]
-            with ThreadPoolExecutor(
-                max_workers=min(num_workers, len(chunks))
-            ) as pool:
-                parts = list(
-                    pool.map(
-                        lambda chunk: self.model.forward(chunk).argmax(axis=1),
-                        chunks,
-                    )
-                )
-            return np.concatenate(parts)
-        finally:
-            self.model.train(was_training)
+        return predict_classes(self.model, images, chunk_size)
 
     def evaluate(self, dataset: Dataset) -> Dict[str, float]:
         """Accuracy + per-class recall on a dataset split."""

@@ -9,7 +9,7 @@ through shared-memory ring slots, so the hot path pickles nothing
 bigger than a task tuple.
 
 Entry points: :class:`~repro.parallel.pool.ProcessPool` directly,
-``predict(..., execution=ExecutionConfig(isolation="process"))``
+``FinnAccelerator.predict(..., execution=ExecutionConfig(isolation="process"))``
 through the :mod:`repro.runtime` registry, or the serving layer's
 ``ProcessPoolBackend``.
 """

@@ -5,22 +5,21 @@ specify: gate cameras submit single face tiles, a bounded admission
 queue applies explicit backpressure (reject-with-reason, priority
 shedding under overload), a work-conserving micro-batcher hands a free
 worker everything already queued (up to ``max_batch_size``) without
-holding a batch open, and a worker pool executes batches on pluggable
-backends (the numpy ``BinaryCoP`` path, the bit-packed XNOR
-``FinnAccelerator`` simulator) with per-backend concurrency derived from
-the Table I folding and BLAS single-threaded inside the workers. Every
-outcome — completion, rejection, shed, timeout, failure — is explicit
-and counted by the metrics registry.
+holding a batch open, and a worker pool executes batches on the
+deployed datapath — a compiled ``FinnAccelerator``, in process or
+across a process pool — with concurrency derived from the Table I
+folding and BLAS single-threaded inside the workers. Every outcome —
+completion, rejection, shed, timeout, failure — is explicit and counted
+by the metrics registry.
 
-Entry points: :class:`InferenceServer` (Python API), ``repro serve`` /
-``repro serve-bench`` (CLI), :mod:`repro.serving.loadgen` (synthetic
-open-loop traffic for demos and benchmarks).
+Entry points: :class:`InferenceServer` (Python API), ``repro serve``
+(CLI), :mod:`repro.serving.loadgen` (synthetic open-loop traffic for
+demos and benchmarks).
 """
 
 from repro.serving.admission import Admission, AdmissionQueue
 from repro.serving.backends import (
     AcceleratorBackend,
-    ClassifierBackend,
     InferenceBackend,
     ProcessPoolBackend,
     folding_concurrency,
@@ -43,7 +42,6 @@ __all__ = [
     "Admission",
     "AdmissionQueue",
     "AcceleratorBackend",
-    "ClassifierBackend",
     "InferenceBackend",
     "ProcessPoolBackend",
     "folding_concurrency",

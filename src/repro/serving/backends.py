@@ -1,19 +1,20 @@
-"""Pluggable inference backends behind one protocol.
+"""Inference backends behind one protocol.
 
 A backend is anything that turns a stacked image batch into class
-labels. The worker pool treats backends as an ordered list — the first
-is primary, the rest are fallbacks — and respects each backend's
-``max_concurrency`` (how many micro-batches may run on it at once).
+labels. The worker pool runs every batch on its one backend and
+respects the backend's ``max_concurrency`` (how many micro-batches may
+run on it at once).
 
-Two concrete backends ship:
+Both concrete backends serve a compiled
+:class:`~repro.hw.compiler.FinnAccelerator` — the deployed integer
+datapath, never the float training model:
 
-* :class:`ClassifierBackend` — the numpy float path of
-  :class:`~repro.core.classifier.BinaryCoP` (chunked prediction keeps
-  memory bounded for coalesced batches);
-* :class:`AcceleratorBackend` — the integer datapath of a compiled
-  :class:`~repro.hw.compiler.FinnAccelerator`, which also
-  reports the *hardware-modelled* batch time from the pipeline cycle
-  model so serving stats can be read against board-like rates.
+* :class:`AcceleratorBackend` — the accelerator's runtime engine in the
+  server's own process; it also reports the *hardware-modelled* batch
+  time from the pipeline cycle model so serving stats can be read
+  against board-like rates;
+* :class:`ProcessPoolBackend` — the same planned datapath fanned across
+  a multi-process pool.
 
 Concurrency limits derive from the Table I folding dimensioning via
 :func:`folding_concurrency`.
@@ -25,13 +26,11 @@ from typing import Optional, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.hw.compiler import INPUT_SCALE, FinnAccelerator, FoldingConfig
-from repro.hw.compiler import InputContract
+from repro.hw.compiler import FinnAccelerator, FoldingConfig, InputContract
 from repro.hw.pipeline import analyze_pipeline
 
 __all__ = [
     "InferenceBackend",
-    "ClassifierBackend",
     "AcceleratorBackend",
     "ProcessPoolBackend",
     "folding_concurrency",
@@ -41,7 +40,7 @@ __all__ = [
 @runtime_checkable
 class InferenceBackend(Protocol):
     """What the worker pool requires of a backend (the server checks
-    each submitted image against the primary's ``input_contract``)."""
+    each submitted image against its ``input_contract``)."""
 
     name: str
     max_concurrency: int
@@ -65,71 +64,6 @@ def folding_concurrency(folding: FoldingConfig, cap: int = 4) -> int:
     if cap <= 0:
         raise ValueError(f"cap must be positive, got {cap}")
     return max(1, min(cap, len(folding) // 3))
-
-
-class ClassifierBackend:
-    """The software float path of a trained ``BinaryCoP`` (or look-alike).
-
-    ``classifier`` needs ``predict(images, chunk_size=...) -> labels``;
-    ``chunk_size`` bounds the per-forward-pass memory of a coalesced
-    batch (the serving worker relies on this). Integer pixels allowed
-    by the input contract are scaled to ``[0, 1]`` for the float path.
-    """
-
-    def __init__(
-        self,
-        classifier,
-        name: Optional[str] = None,
-        chunk_size: int = 256,
-        max_concurrency: Optional[int] = None,
-        num_workers: Optional[int] = None,
-    ) -> None:
-        if not hasattr(classifier, "predict"):
-            raise TypeError("classifier must expose predict(images, chunk_size=...)")
-        if chunk_size <= 0:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        if num_workers is not None and num_workers <= 0:
-            raise ValueError(f"num_workers must be positive, got {num_workers}")
-        self.classifier = classifier
-        self.input_contract = InputContract(tuple(classifier.model.input_shape))
-        self.chunk_size = int(chunk_size)
-        self.num_workers = num_workers
-        arch = getattr(classifier, "architecture", None)
-        self.name = name or (f"software:{arch}" if arch else "software")
-        if max_concurrency is None:
-            max_concurrency = self._derive_concurrency()
-        if max_concurrency <= 0:
-            raise ValueError(
-                f"max_concurrency must be positive, got {max_concurrency}"
-            )
-        self.max_concurrency = int(max_concurrency)
-
-    def _derive_concurrency(self) -> int:
-        """Table I dimensioning of the classifier's architecture, if any."""
-        arch = getattr(self.classifier, "architecture", None)
-        if arch is not None:
-            try:
-                from repro.core.architectures import table1_folding
-
-                return folding_concurrency(table1_folding(arch))
-            except ValueError:
-                pass  # e.g. the fp32 baseline has no Table I folding
-        return 1
-
-    def infer(self, images: np.ndarray) -> np.ndarray:
-        if images.dtype.kind in "iu":
-            images = (images / INPUT_SCALE).astype(np.float32)
-        if self.num_workers is not None:
-            return np.asarray(
-                self.classifier.predict(
-                    images,
-                    chunk_size=self.chunk_size,
-                    num_workers=self.num_workers,
-                )
-            )
-        return np.asarray(
-            self.classifier.predict(images, chunk_size=self.chunk_size)
-        )
 
 
 class AcceleratorBackend:

@@ -7,11 +7,13 @@ micro-batcher dispatches as soon as a worker is free (taking whatever has
 queued meanwhile, so batch size follows load), and every outcome is
 observable through :meth:`InferenceServer.stats`.
 
-Typical use::
+The server runs the deployed datapath: a compiled
+:class:`~repro.hw.compiler.FinnAccelerator` (``clf.deploy()``) behind
+one backend. Typical use::
 
     from repro.serving import InferenceServer, ServingConfig
 
-    server = InferenceServer.from_classifier(clf, ServingConfig(
+    server = InferenceServer.from_accelerator(clf.deploy(), ServingConfig(
         max_batch_size=32, queue_capacity=256))
     with server:                       # starts workers, stops on exit
         handle = server.submit(image)  # never blocks; may be rejected
@@ -23,16 +25,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.serving.admission import AdmissionQueue
-from repro.serving.backends import (
-    AcceleratorBackend,
-    ClassifierBackend,
-    InferenceBackend,
-)
+from repro.serving.backends import AcceleratorBackend, InferenceBackend
 from repro.serving.batcher import MicroBatcher
 from repro.serving.metrics import MetricsRegistry, ServerStats, StatsReporter
 from repro.serving.request import (
@@ -122,26 +120,19 @@ class ServingConfig:
 
 
 class InferenceServer:
-    """Dynamically-batched, backpressured serving over pluggable backends.
+    """Dynamically-batched, backpressured serving over one backend.
 
-    ``backends`` is an ordered sequence — first is primary, the rest are
-    fallbacks for saturation or failure. Use :meth:`from_classifier` /
-    :meth:`from_accelerator` for the common single-model cases.
+    Use :meth:`from_accelerator` to serve a compiled accelerator; a
+    batch the backend fails resolves FAILED with the reason.
     """
 
     def __init__(
         self,
-        backends: Union[InferenceBackend, Sequence[InferenceBackend]],
+        backend: InferenceBackend,
         config: Optional[ServingConfig] = None,
     ) -> None:
-        if isinstance(backends, (list, tuple)):
-            backend_list = list(backends)
-        else:
-            backend_list = [backends]
-        if not backend_list:
-            raise ValueError("server needs at least one backend")
         self.config = config or ServingConfig()
-        self._input_contract = backend_list[0].input_contract
+        self._input_contract = backend.input_contract
         self.metrics = MetricsRegistry()
         self._queue = AdmissionQueue(
             self.config.queue_capacity, allow_shedding=self.config.allow_shedding
@@ -154,7 +145,7 @@ class InferenceServer:
         )
         self._workers = WorkerPool(
             self._batcher,
-            backend_list,
+            backend,
             self.metrics,
             num_workers=self.config.num_workers,
         )
@@ -162,24 +153,6 @@ class InferenceServer:
         self._stopped = False
 
     # -- constructors --------------------------------------------------------
-    @classmethod
-    def from_classifier(
-        cls,
-        classifier,
-        config: Optional[ServingConfig] = None,
-        with_accelerator_fallback: bool = False,
-    ) -> "InferenceServer":
-        """Serve a ``BinaryCoP`` on its numpy path.
-
-        ``with_accelerator_fallback`` compiles the Table I accelerator
-        simulator as a second backend that absorbs spillover when the
-        software path is saturated (and covers its failures).
-        """
-        backends: List[InferenceBackend] = [ClassifierBackend(classifier)]
-        if with_accelerator_fallback:
-            backends.append(AcceleratorBackend(classifier.deploy()))
-        return cls(backends, config)
-
     @classmethod
     def from_accelerator(
         cls,
@@ -212,7 +185,7 @@ class InferenceServer:
             )
         else:
             backend = AcceleratorBackend(accelerator, execution=execution)
-        return cls([backend], config)
+        return cls(backend, config)
 
     # -- lifecycle -----------------------------------------------------------
     @property
@@ -223,10 +196,9 @@ class InferenceServer:
         if self._started:
             raise RuntimeError("server already started")
         self._started = True
-        for backend in self._workers.backends:
-            bind = getattr(backend, "bind_metrics", None)
-            if bind is not None:
-                bind(self.metrics)
+        bind = getattr(self._workers.backend, "bind_metrics", None)
+        if bind is not None:
+            bind(self.metrics)
         self._workers.start()
         return self
 
@@ -251,10 +223,9 @@ class InferenceServer:
                 self.metrics.increment("rejected")
         if self._started:
             self._workers.stop(timeout=timeout)
-        for backend in self._workers.backends:
-            close = getattr(backend, "close", None)
-            if close is not None:
-                close()
+        close = getattr(self._workers.backend, "close", None)
+        if close is not None:
+            close()
 
     def __enter__(self) -> "InferenceServer":
         return self.start()
@@ -273,7 +244,7 @@ class InferenceServer:
 
         Refusal is explicit: the returned handle is already resolved as
         REJECTED (with a reason in ``handle.detail``) when the image
-        breaks the primary backend's ``input_contract`` (so it never
+        breaks the backend's ``input_contract`` (so it never
         fails its batch-mates) or admission control refuses it —
         inspect ``handle.status`` or let ``handle.result()`` raise.
         ``priority`` orders service (higher first) and governs shedding
@@ -352,12 +323,12 @@ class InferenceServer:
 
     # -- health --------------------------------------------------------------
     def health(self, smoke: bool = False) -> HealthReport:
-        """Probe the server: queue saturation, worker liveness, backends.
+        """Probe the server: queue saturation, worker liveness, backend.
 
         ``smoke`` additionally pushes one zero image straight through
-        every backend (bypassing the queue) — the expensive, conclusive
-        readiness check. The report never raises; failing backends show
-        up as FAILING probes.
+        the backend (bypassing the queue) — the expensive, conclusive
+        readiness check. The report never raises; a failing backend
+        shows up as a FAILING probe.
         """
         probes = [
             probe_queue(
@@ -372,18 +343,18 @@ class InferenceServer:
             ),
         ]
         if smoke:
-            probes.extend(probe_backend_smoke(b) for b in self._workers.backends)
+            probes.append(probe_backend_smoke(self._workers.backend))
         return HealthReport(probes=tuple(probes))
 
     def ready(self) -> bool:
-        """Readiness: running, healthy, and every backend smoke-predicts."""
+        """Readiness: running, healthy, and the backend smoke-predicts."""
         return self.running and self.health(smoke=True).ok
 
     # -- observability -------------------------------------------------------
     @property
     def backends(self):
-        """The worker pool's backend list (primary first)."""
-        return list(self._workers.backends)
+        """The served backend, as a one-element list."""
+        return [self._workers.backend]
 
     def stats(self) -> ServerStats:
         """Snapshot of service statistics (see :class:`ServerStats`)."""

@@ -1,11 +1,9 @@
-"""Worker pool: micro-batches -> backends -> resolved requests.
+"""Worker pool: micro-batches -> the backend -> resolved requests.
 
 Each worker loops on the batcher, stacks the batch's images and runs
-them on the first backend with a free concurrency slot — backends are
-ordered, so the first is primary and the rest are fallbacks (tried on a
-saturated or *failing* primary). Per-backend
-:class:`threading.BoundedSemaphore` s enforce the concurrency limits the
-backends derive from their Table I folding.
+them on the pool's one backend. A :class:`threading.BoundedSemaphore`
+enforces the concurrency limit the backend derives from its Table I
+folding.
 
 The worker threads are the server's parallelism, so while the pool runs
 BLAS runs on one thread inside them (:mod:`repro.utils.blas`): OpenBLAS
@@ -13,14 +11,15 @@ helper threads on top of the workers would oversubscribe the cores.
 
 Every request the pool touches leaves in a terminal state: COMPLETED
 with a label, TIMED_OUT if its deadline fired in the queue, or FAILED
-with the reason if its batch could not be stacked or every backend
-raised. No batch can kill a worker thread.
+with the reason if its batch could not be stacked, the backend raised,
+or the backend returned the wrong number of labels. No batch can kill a
+worker thread.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -39,30 +38,22 @@ _POLL_S = 0.02
 
 
 class WorkerPool:
-    """``num_workers`` threads pulling micro-batches and running backends."""
+    """``num_workers`` threads pulling micro-batches and running a backend."""
 
     def __init__(
         self,
         batcher: MicroBatcher,
-        backends: Sequence[InferenceBackend],
+        backend: InferenceBackend,
         metrics: MetricsRegistry,
         num_workers: int = 2,
     ) -> None:
-        if not backends:
-            raise ValueError("worker pool needs at least one backend")
         if num_workers <= 0:
             raise ValueError(f"num_workers must be positive, got {num_workers}")
-        names = [b.name for b in backends]
-        if len(set(names)) != len(names):
-            raise ValueError(f"backend names must be unique, got {names}")
         self.batcher = batcher
-        self.backends = list(backends)
+        self.backend = backend
         self.metrics = metrics
         self.num_workers = int(num_workers)
-        self._slots: Dict[str, threading.BoundedSemaphore] = {
-            b.name: threading.BoundedSemaphore(b.max_concurrency)
-            for b in backends
-        }
+        self._slots = threading.BoundedSemaphore(backend.max_concurrency)
         self._stop = threading.Event()
         self._threads: List[threading.Thread] = []
 
@@ -109,25 +100,6 @@ class WorkerPool:
             if batch:
                 self._execute(batch)
 
-    def _acquire_backend(self):
-        """(backend, semaphore) — first with a free slot, else wait on primary.
-
-        Fallbacks only absorb work the primary cannot take *right now*;
-        an idle system always runs on the primary backend.
-        """
-        primary, primary_slot = self.backends[0], self._slots[self.backends[0].name]
-        if primary_slot.acquire(blocking=False):
-            return primary, primary_slot
-        for backend in self.backends[1:]:
-            slot = self._slots[backend.name]
-            if slot.acquire(blocking=False):
-                self.metrics.increment("spillovers")
-                return backend, slot
-        while not primary_slot.acquire(timeout=0.1):
-            if self._stop.is_set() and primary_slot.acquire(blocking=False):
-                break  # drain remaining work even while stopping
-        return primary, primary_slot
-
     def _execute(self, batch: List[InferenceRequest]) -> None:
         # The batcher dispatches what it collects at once, so its expiry
         # check stands for this one; begin() drops requests cancelled
@@ -143,7 +115,7 @@ class WorkerPool:
         # The batch span parents under the first traced request and
         # *links* to the rest — a micro-batch belongs to one trace tree
         # but serves many requests, and links keep the others findable.
-        # It is current while the backends run, so the engine's runtime
+        # It is current while the backend runs, so the engine's runtime
         # and per-stage spans nest directly under it.
         tracer = get_tracer()
         traced = [
@@ -167,10 +139,9 @@ class WorkerPool:
                 self.metrics.increment("failed")
 
     def _run_batch(self, now_batch: List[InferenceRequest], batch_span):
-        """Complete the batch on the first backend that succeeds, or
-        return the ``(error, detail)`` to fail it with."""
-        last_error: Optional[BaseException] = None
-        tried: List[str] = []
+        """Complete the batch on the backend, or return the
+        ``(error, detail)`` to fail it with."""
+        backend = self.backend
         try:
             # Stacking and padding stay inside the try as safety code
             # (submit already checked every image against the input
@@ -188,48 +159,23 @@ class WorkerPool:
                 images = np.concatenate([images, pad])
                 self.metrics.increment("padded_images", bucket - len(now_batch))
             self.metrics.observe_batch(len(now_batch))
-            for attempt in range(len(self.backends)):
-                if attempt == 0:
-                    backend, slot = self._acquire_backend()
-                else:
-                    backend = next(
-                        (b for b in self.backends if b.name not in tried), None
-                    )
-                    if backend is None:
-                        break
-                    slot = self._slots[backend.name]
-                    slot.acquire()
-                    self.metrics.increment("fallbacks")
-                tried.append(backend.name)
+            batch_span.set_attribute("backend", backend.name)
+            with self._slots:
                 try:
-                    with self.metrics.stopwatch.section(
-                        f"infer.{backend.name}"
-                    ):
+                    with self.metrics.stopwatch.section(f"infer.{backend.name}"):
                         labels = np.asarray(backend.infer(images))
-                except Exception as exc:  # noqa: BLE001 — fall back, then report
-                    last_error = exc
+                    if len(labels) != len(images):
+                        raise RuntimeError(
+                            f"returned {len(labels)} labels for a batch "
+                            f"of {len(images)}"
+                        )
+                except Exception as exc:  # noqa: BLE001 — reported below
                     self.metrics.increment("backend_errors")
-                    continue
-                finally:
-                    slot.release()
-                if labels.shape[0] != images.shape[0]:
-                    last_error = RuntimeError(
-                        f"backend {backend.name!r} returned {labels.shape[0]} "
-                        f"labels for a batch of {images.shape[0]}"
-                    )
-                    self.metrics.increment("backend_errors")
-                    continue
-                labels = labels[: len(now_batch)]  # drop pad-row labels
-                batch_span.set_attribute("backend", backend.name)
-                self._complete(now_batch, labels, backend.name)
-                return
-            return last_error, (
-                f"all backends failed ({', '.join(tried)}): {last_error}"
-            )
+                    return exc, f"backend {backend.name!r} failed: {exc}"
+            self._complete(now_batch, labels[: len(now_batch)], backend.name)
         except Exception as exc:  # noqa: BLE001 — fail the batch, keep the worker
             return exc, f"batch could not be run: {exc}"
-        finally:
-            batch_span.set_attribute("tried", list(tried))
+        return None
 
     def _complete(
         self, batch: List[InferenceRequest], labels: np.ndarray, backend_name: str

@@ -87,7 +87,7 @@ def test_held_tracks_the_refcount(two_threads):
 
 
 def test_server_runs_blas_single_threaded(two_threads):
-    server = InferenceServer([_Backend()], ServingConfig(num_workers=1))
+    server = InferenceServer(_Backend(), ServingConfig(num_workers=1))
     with server:
         assert blas.blas_threads() == 1 and blas.held()
         server.predict(np.zeros((3, 4, 4, 3), dtype=np.float32))
@@ -95,8 +95,8 @@ def test_server_runs_blas_single_threaded(two_threads):
 
 
 def test_overlapping_servers_compose(two_threads):
-    first = InferenceServer([_Backend()], ServingConfig(num_workers=1))
-    second = InferenceServer([_Backend()], ServingConfig(num_workers=1))
+    first = InferenceServer(_Backend(), ServingConfig(num_workers=1))
+    second = InferenceServer(_Backend(), ServingConfig(num_workers=1))
     first.start()
     second.start()
     assert blas.blas_threads() == 1

@@ -17,13 +17,13 @@ class TestParser:
             a for a in parser._actions if hasattr(a, "choices") and a.choices
         )
         assert {
-            "train", "evaluate", "deploy", "report", "info",
-            "serve", "serve-bench",
+            "train", "evaluate", "deploy", "report", "info", "serve",
         } <= set(sub.choices)
+        assert "serve-bench" not in sub.choices  # perfbench `serve` replaces it
 
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve", "--model", "m.npz"])
-        assert args.backend == "software"
+        assert args.backend == "accelerator"
         assert args.max_batch == 32
         assert args.rate == 200.0
 
@@ -104,22 +104,7 @@ class TestTrainEvaluateDeploy:
         out = capsys.readouterr().out
         assert "offered" in out
         assert "completed" in out
-        assert "backends: software:u-cnv" in out
-
-    def test_serve_bench(self, checkpoint, capsys):
-        code = main(
-            [
-                "serve-bench",
-                "--model", str(checkpoint),
-                "--rates", "50",
-                "--duration", "0.3",
-                "--tile-pool", "4",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "offered load sweep" in out
-        assert "mean batch" in out
+        assert "backend: accelerator:binarycop-u-cnv" in out
 
     def test_deploy_rejects_fp32(self, tmp_path, capsys):
         from repro.core.classifier import BinaryCoP
@@ -127,6 +112,14 @@ class TestTrainEvaluateDeploy:
         clf = BinaryCoP("fp32-cnv")
         path = clf.save(tmp_path / "fp32.npz")
         assert main(["deploy", "--model", str(path)]) == 2
+
+    def test_serve_rejects_fp32(self, tmp_path, capsys):
+        from repro.core.classifier import BinaryCoP
+
+        clf = BinaryCoP("fp32-cnv")
+        path = clf.save(tmp_path / "fp32.npz")
+        assert main(["serve", "--model", str(path)]) == 2
+        assert "FP32 baseline is not deployable" in capsys.readouterr().err
 
 
 class TestMultiCameraHub:

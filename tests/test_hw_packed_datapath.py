@@ -94,25 +94,12 @@ class TestParallelPredict:
             acc.run(seed_batch, REFERENCE),
         )
 
-    def test_classifier_four_workers_matches_serial(self, seed_batch):
-        clf = BinaryCoP("u-cnv", rng=0)
-        randomize_bn_stats(clf.model)
-        images = np.tile(seed_batch, (3, 1, 1, 1))
-        serial = clf.predict(images)
-        parallel = clf.predict(images, chunk_size=3, num_workers=4)
-        np.testing.assert_array_equal(parallel, serial)
-
     def test_classifier_restores_training_mode(self, seed_batch):
         clf = BinaryCoP("u-cnv", rng=0)
         randomize_bn_stats(clf.model)
         assert clf.model.training
-        clf.predict(np.tile(seed_batch, (2, 1, 1, 1)), chunk_size=2, num_workers=2)
+        clf.predict(np.tile(seed_batch, (2, 1, 1, 1)), chunk_size=2)
         assert clf.model.training
-
-    def test_invalid_num_workers(self, seed_batch):
-        clf = BinaryCoP("u-cnv", rng=0)
-        with pytest.raises(ValueError, match="num_workers"):
-            clf.predict(seed_batch, num_workers=-1)
 
 
 class TestSimulateStreamScan:

@@ -2,9 +2,9 @@
 
 Component tests run against stub backends (deterministic, no model), so
 coalescing/backpressure/timeout semantics are exercised without numpy
-inference noise; the end-to-end smoke test serves the session-scoped
-trained tiny classifier and checks served labels against direct
-``predict`` calls.
+inference noise; the end-to-end smoke test serves the deployed
+accelerator of the session-scoped trained tiny classifier and checks
+served labels against direct ``predict`` calls on it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import pytest
 from repro.serving import (
     AcceleratorBackend,
     AdmissionQueue,
-    ClassifierBackend,
     InferenceRequest,
     InferenceServer,
     MicroBatcher,
@@ -54,14 +53,19 @@ def make_request(value: float = 0.5, **kwargs) -> InferenceRequest:
 
 
 class StubBackend:
-    """Deterministic backend: label = round(mean * 1000) % 4, optional delay."""
+    """Deterministic backend: label = round(mean * 1000) % 4, optional
+    delay; ``fail`` raises, ``short`` answers one label too few."""
 
     input_contract = InputContract((4, 4, 3))
 
-    def __init__(self, name="stub", delay_s=0.0, fail=False, max_concurrency=2):
+    def __init__(
+        self, name="stub", delay_s=0.0, fail=False, short=False,
+        max_concurrency=2,
+    ):
         self.name = name
         self.delay_s = delay_s
         self.fail = fail
+        self.short = short
         self.max_concurrency = max_concurrency
         self.calls = 0
         self.batch_sizes = []
@@ -73,7 +77,8 @@ class StubBackend:
             time.sleep(self.delay_s)
         if self.fail:
             raise RuntimeError("stub backend configured to fail")
-        return (np.round(images.mean(axis=(1, 2, 3)) * 1000).astype(int)) % 4
+        labels = (np.round(images.mean(axis=(1, 2, 3)) * 1000).astype(int)) % 4
+        return labels[:-1] if self.short else labels
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +298,6 @@ class TestBackends:
         tiny = FoldingConfig(pe=(1, 1, 1, 1), simd=(1, 1, 1, 1))
         assert folding_concurrency(tiny) == 1
 
-    def test_classifier_backend_derives_concurrency(self, trained_tiny_classifier):
-        backend = ClassifierBackend(trained_tiny_classifier)
-        assert backend.name == "software:n-cnv"
-        assert backend.max_concurrency == 3
-
     def test_accelerator_backend_matches_direct_predict(self, tiny_bnn):
         folding = FoldingConfig(pe=(1, 1, 1, 1), simd=(1, 1, 1, 1))
         acc = compile_model(tiny_bnn, folding)
@@ -335,44 +335,13 @@ class TestBackends:
         assert sorted(n for n, _ in compiled) == [16, 16]
         assert len({ident for _, ident in compiled}) == 2
 
-    def test_classifier_backend_scales_integer_pixels(
-        self, trained_tiny_classifier
-    ):
-        # The contract admits [0, 255] integers; the float path must see
-        # them as the same [0, 1] image, not as raw pixel values.
-        backend = ClassifierBackend(trained_tiny_classifier)
-        assert backend.input_contract == InputContract((32, 32, 3))
-        images = grid_images(6, hw=32)
-        pixels = np.rint(images * 255).astype(np.uint8)
-        np.testing.assert_array_equal(
-            backend.infer(pixels), backend.infer(images)
-        )
-
-    def test_rejects_predictless_classifier(self):
-        with pytest.raises(TypeError, match="predict"):
-            ClassifierBackend(object())
-
-    def test_backends_with_num_workers_match_serial(
-        self, trained_tiny_classifier
-    ):
-        images = grid_images(9, hw=32)
-        serial = ClassifierBackend(trained_tiny_classifier, chunk_size=3)
-        parallel = ClassifierBackend(
-            trained_tiny_classifier, chunk_size=3, num_workers=4
-        )
-        np.testing.assert_array_equal(parallel.infer(images), serial.infer(images))
-
-    def test_backends_reject_invalid_num_workers(self, trained_tiny_classifier):
-        with pytest.raises(ValueError, match="num_workers"):
-            ClassifierBackend(trained_tiny_classifier, num_workers=0)
-
 
 # ---------------------------------------------------------------------------
 # worker pool (stub backends)
 # ---------------------------------------------------------------------------
-def serve_with(backends, config=None, n=8, **submit_kwargs):
-    """Spin up a server on stub backends, push n requests, return handles."""
-    server = InferenceServer(backends, config or ServingConfig(
+def serve_with(backend, config=None, n=8, **submit_kwargs):
+    """Spin up a server on a stub backend, push n requests, return handles."""
+    server = InferenceServer(backend, config or ServingConfig(
         max_batch_size=4, queue_capacity=64, num_workers=2
     ))
     rng = np.random.default_rng(0)
@@ -390,29 +359,46 @@ def serve_with(backends, config=None, n=8, **submit_kwargs):
 class TestWorkerPoolAndServer:
     def test_all_requests_complete(self):
         stub = StubBackend()
-        server, handles, statuses = serve_with([stub])
+        server, handles, statuses = serve_with(stub)
         assert statuses == [RequestStatus.COMPLETED] * len(handles)
         assert all(0 <= h.result() <= 3 for h in handles)
         assert all(h.backend_name == "stub" for h in handles)
         assert server.stats().completed == len(handles)
 
-    def test_backend_fallback_on_failure(self):
-        bad = StubBackend(name="bad", fail=True)
-        good = StubBackend(name="good")
-        server, handles, statuses = serve_with([bad, good])
-        assert statuses == [RequestStatus.COMPLETED] * len(handles)
-        assert all(h.backend_name == "good" for h in handles)
-        assert server.stats().counters["backend_errors"] >= 1
-        assert server.stats().counters["fallbacks"] >= 1
-
     def test_all_backends_failing_resolves_failed(self):
-        server, handles, statuses = serve_with(
-            [StubBackend(name="bad1", fail=True), StubBackend(name="bad2", fail=True)]
-        )
-        assert statuses == [RequestStatus.FAILED] * len(handles)
-        with pytest.raises(RequestNotCompleted, match="all backends failed"):
-            handles[0].result()
-        assert server.stats().failed == len(handles)
+        # The one backend raising, or answering with the wrong number of
+        # labels, fails every request of its batch with the reason; the
+        # worker threads survive and keep taking batches.
+        for stub, reason in (
+            (StubBackend(name="bad", fail=True),
+             "stub backend configured to fail"),
+            (StubBackend(name="short", short=True),
+             "returned 3 labels for a batch of 4"),
+        ):
+            server = InferenceServer(stub, ServingConfig(
+                max_batch_size=4, queue_capacity=64, num_workers=2
+            ))
+            img = np.zeros((4, 4, 3), dtype=np.float32)
+            handles = [server.submit(img) for _ in range(8)]
+            with server:
+                statuses = [h.wait(timeout=10.0) for h in handles]
+                workers = next(
+                    p for p in server.health().probes if p.name == "workers"
+                )
+                assert workers.detail == "2/2 worker threads alive"
+                after = server.submit(img)
+                assert after.wait(timeout=10.0) is RequestStatus.FAILED
+            assert statuses == [RequestStatus.FAILED] * len(handles)
+            for handle in handles:
+                with pytest.raises(
+                    RequestNotCompleted,
+                    match=f"backend '{stub.name}' failed: {reason}",
+                ):
+                    handle.result()
+            stats = server.stats()
+            assert stats.failed == len(handles) + 1
+            assert stats.completed == 0
+            assert stats.counters["backend_errors"] >= 1
 
     def test_per_request_timeout_fires(self):
         # One slow worker thread: the first batch occupies it long enough
@@ -421,7 +407,7 @@ class TestWorkerPoolAndServer:
         config = ServingConfig(
             max_batch_size=1, queue_capacity=8, num_workers=1
         )
-        server = InferenceServer([slow], config)
+        server = InferenceServer(slow, config)
         img = np.zeros((4, 4, 3), dtype=np.float32)
         with server:
             blocker = server.submit(img)
@@ -438,7 +424,7 @@ class TestWorkerPoolAndServer:
             max_batch_size=1, queue_capacity=2,
             num_workers=1, allow_shedding=False,
         )
-        server = InferenceServer([slow], config)
+        server = InferenceServer(slow, config)
         img = np.zeros((4, 4, 3), dtype=np.float32)
         with server:
             handles = [server.submit(img) for _ in range(8)]
@@ -458,7 +444,7 @@ class TestWorkerPoolAndServer:
         config = ServingConfig(
             max_batch_size=1, queue_capacity=2, num_workers=1
         )
-        server = InferenceServer([slow], config)
+        server = InferenceServer(slow, config)
         img = np.zeros((4, 4, 3), dtype=np.float32)
         with server:
             blocker = server.submit(img)  # occupies the worker
@@ -478,7 +464,7 @@ class TestWorkerPoolAndServer:
 
     def test_batch_histogram_and_wait_metrics(self):
         stub = StubBackend()
-        server, handles, _ = serve_with([stub], n=12)
+        server, handles, _ = serve_with(stub, n=12)
         stats = server.stats()
         assert sum(size * n for size, n in stats.batch_histogram.items()) == 12
         assert stats.mean_batch_size >= 1.0
@@ -539,7 +525,7 @@ class TestWorkerPoolAndServer:
 
     def test_sync_predict_roundtrip(self):
         stub = StubBackend()
-        server = InferenceServer([stub], ServingConfig(
+        server = InferenceServer(stub, ServingConfig(
             max_batch_size=8, queue_capacity=32
         ))
         images = np.random.default_rng(3).random((5, 4, 4, 3)).astype(np.float32)
@@ -550,7 +536,7 @@ class TestWorkerPoolAndServer:
 
     def test_stop_rejects_undrained_requests(self):
         stub = StubBackend(delay_s=0.05, max_concurrency=1)
-        server = InferenceServer([stub], ServingConfig(
+        server = InferenceServer(stub, ServingConfig(
             max_batch_size=1, queue_capacity=64, num_workers=1
         ))
         img = np.zeros((4, 4, 3), dtype=np.float32)
@@ -564,7 +550,7 @@ class TestWorkerPoolAndServer:
         assert all(h.done for h in handles)
 
     def test_submit_after_stop_is_rejected(self):
-        server, _, _ = serve_with([StubBackend()], n=1)
+        server, _, _ = serve_with(StubBackend(), n=1)
         handle = server.submit(np.zeros((4, 4, 3), dtype=np.float32))
         assert handle.status is RequestStatus.REJECTED
         assert "shutting_down" in handle.detail
@@ -572,7 +558,7 @@ class TestWorkerPoolAndServer:
     def test_invalid_image_raises_eagerly(self):
         # "Eagerly" is at submit: the handle comes back already REJECTED
         # with the contract's reason instead of submit raising.
-        server = InferenceServer([StubBackend()])
+        server = InferenceServer(StubBackend())
         for bad, reason in (
             (np.zeros((4, 4), np.float32), "must be one"),
             (np.zeros((2, 4, 4, 3), np.float32), "one image, got 2"),
@@ -589,7 +575,7 @@ class TestWorkerPoolAndServer:
         # A wrong-shape tile is rejected at submit, so it never reaches
         # np.stack: its batch-mates complete and the workers survive.
         config = ServingConfig(max_batch_size=32, num_workers=2)
-        server = InferenceServer([StubBackend()], config)
+        server = InferenceServer(StubBackend(), config)
         good = np.zeros((4, 4, 3), dtype=np.float32)
         # Queued before start, so the first worker takes all 17 at once.
         handles = [server.submit(good) for _ in range(16)]
@@ -696,47 +682,37 @@ class TestChunkedPrediction:
 # ---------------------------------------------------------------------------
 class TestEndToEnd:
     def test_served_labels_match_direct_predict(self, trained_tiny_classifier):
+        acc = trained_tiny_classifier.deploy()
         tiles = face_tile_pool(6, rng=11)
-        expected = trained_tiny_classifier.predict(tiles)
+        expected = acc.predict(tiles)
         config = ServingConfig(
             max_batch_size=8, queue_capacity=32, num_workers=2
         )
-        with InferenceServer.from_classifier(trained_tiny_classifier, config) as server:
+        with InferenceServer.from_accelerator(acc, config) as server:
             labels = server.predict(tiles, timeout=60.0)
             stats = server.stats()
         np.testing.assert_array_equal(labels, expected)
+        assert server.backends[0].name == f"accelerator:{acc.name}"
         assert stats.completed == len(tiles)
         assert stats.rejected == 0
 
     def test_open_loop_run_is_deterministically_seeded(self, trained_tiny_classifier):
+        acc = trained_tiny_classifier.deploy()
         tiles = face_tile_pool(4, rng=11)
+        served_classes = set(acc.predict(tiles).tolist())
         config = ServingConfig(
             max_batch_size=8, queue_capacity=64, num_workers=2
         )
         offered = []
         for _ in range(2):
-            with InferenceServer.from_classifier(trained_tiny_classifier, config) as server:
+            with InferenceServer.from_accelerator(acc, config) as server:
                 result = run_open_loop(
                     server, tiles, rate_hz=150.0, duration_s=0.4, rng=5
                 )
             offered.append(result.offered)
             assert result.completed == result.offered
+            assert set(result.labels) <= served_classes
         assert offered[0] == offered[1]  # arrival process is seed-determined
-
-    def test_accelerator_fallback_server_builds(self, trained_tiny_classifier):
-        config = ServingConfig(
-            max_batch_size=4, queue_capacity=16, num_workers=1
-        )
-        server = InferenceServer.from_classifier(
-            trained_tiny_classifier, config, with_accelerator_fallback=True
-        )
-        names = [b.name for b in server.backends]
-        assert names[0].startswith("software:")
-        assert names[1].startswith("accelerator:")
-        tiles = face_tile_pool(3, rng=2)
-        with server:
-            labels = server.predict(tiles, timeout=60.0)
-        assert labels.shape == (3,)
 
 
 # ---------------------------------------------------------------------------
@@ -826,7 +802,7 @@ class TestSoak:
         config = ServingConfig(
             max_batch_size=8, queue_capacity=16, num_workers=2
         )
-        server = InferenceServer([stub], config)
+        server = InferenceServer(stub, config)
         rng = np.random.default_rng(0)
         images = rng.random((8, 4, 4, 3)).astype(np.float32)
         handles, max_depth = [], 0

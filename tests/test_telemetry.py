@@ -387,7 +387,7 @@ class TestExport:
 
     def test_server_stats_exported(self):
         backend = _StubBackend()
-        server = InferenceServer([backend], ServingConfig(
+        server = InferenceServer(backend, ServingConfig(
             max_batch_size=4, queue_capacity=16,
             num_workers=1,
         ))
@@ -471,7 +471,7 @@ class TestHealthProbes:
         assert failing.to_dict()["status"] == "failing"
 
     def test_server_health_and_ready(self):
-        server = InferenceServer([_StubBackend()], ServingConfig(
+        server = InferenceServer(_StubBackend(), ServingConfig(
             max_batch_size=4, queue_capacity=16,
             num_workers=2,
         ))
@@ -493,7 +493,7 @@ class TestServingTraces:
     def test_request_tree_connected_through_server(self):
         tracer, journal = make_tracer()
         activate(tracer)
-        server = InferenceServer([_StubBackend()], ServingConfig(
+        server = InferenceServer(_StubBackend(), ServingConfig(
             max_batch_size=4, queue_capacity=16,
             num_workers=1,
         ))
@@ -515,7 +515,6 @@ class TestServingTraces:
             covered = {parent["span_id"], *batch["links"]}
             assert covered <= {r["span_id"] for r in by_kind["request"]}
             assert batch["attributes"]["backend"] == "stub"
-            assert batch["attributes"]["tried"] == ["stub"]
         for req in by_kind["request"]:
             assert req["attributes"]["status"] == "completed"
 
@@ -549,7 +548,7 @@ class TestServingTraces:
         assert {parent[s["span_id"]] for s in stages} == {"hw.plan"}
 
     def test_untraced_server_records_nothing(self):
-        server = InferenceServer([_StubBackend()], ServingConfig(
+        server = InferenceServer(_StubBackend(), ServingConfig(
             max_batch_size=4, queue_capacity=16,
             num_workers=1,
         ))
