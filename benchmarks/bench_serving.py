@@ -7,8 +7,9 @@ datapath it serves (the deployed accelerator, ``clf.deploy()``):
   worker, coalesced batches beat batch-size-1 service by at least
   ``BATCHING_BAR`` on n-CNV (the per-call fixed costs — dispatch,
   quantisation, nine stage calls, plan lookup — amortise across the
-  batch). The bar is set below the worst of repeated runs on a 2-vCPU
-  host; see ``CHANGES.md``;
+  batch). The gate is the median of alternating drain pairs, and the
+  bar is set below the worst of repeated runs on a 2-vCPU host; see
+  ``CHANGES.md``;
 * **Overload is explicit**: past saturation the bounded admission queue
   rejects/sheds with machine-readable reasons, the queue depth never
   exceeds its capacity, and the server drains cleanly — no deadlock, no
@@ -42,6 +43,7 @@ from repro.utils.tables import render_table
 SATURATING_RATE = 4000.0
 DISPATCH_MARGIN_S = 0.010  # queue hand-off + thread wake-up on a busy host
 BATCHING_BAR = 1.4  # batch-32 over batch-1 backlog-drain QPS, one worker
+DRAIN_PAIRS = 7  # alternating batch-32/batch-1 drains behind the bar
 
 
 @pytest.fixture(scope="module")
@@ -82,35 +84,50 @@ def _drain_backlog(accelerator, tiles, config, n_requests):
 
 
 def test_dynamic_batching_beats_batch1(accelerator, tiles, capsys):
-    """Coalesced batches >= BATCHING_BAR x batch-1 QPS draining a backlog."""
+    """Median coalesced/batch-1 QPS ratio over ``DRAIN_PAIRS`` alternating
+    backlog drains >= BATCHING_BAR."""
     n = 192
-    batched, batch1 = (
-        ServingConfig(max_batch_size=size, queue_capacity=256, num_workers=1)
+    configs = {
+        size: ServingConfig(
+            max_batch_size=size, queue_capacity=256, num_workers=1
+        )
         for size in (32, 1)
-    )
+    }
     # An untimed drain of each first: it compiles the batch-32 and
     # batch-1 execution plans, a one-off set-up cost, not serving.
-    for config in (batched, batch1):
+    for config in configs.values():
         _drain_backlog(accelerator, tiles, config, n)
-    batched_qps, mean_batch = _drain_backlog(accelerator, tiles, batched, n)
-    batch1_qps, _ = _drain_backlog(accelerator, tiles, batch1, n)
-    speedup = batched_qps / max(batch1_qps, 1e-9)
+    # One drain is ~0.1 s, short enough for a host hiccup to decide it:
+    # alternate which config runs first and gate on the median pair.
+    rows, speedups, mean_batches = [], [], []
+    for pair in range(DRAIN_PAIRS):
+        order = (32, 1) if pair % 2 == 0 else (1, 32)
+        qps = {}
+        for size in order:
+            qps[size], mean_batch = _drain_backlog(
+                accelerator, tiles, configs[size], n
+            )
+            if size == 32:
+                mean_batches.append(mean_batch)
+        speedups.append(qps[32] / max(qps[1], 1e-9))
+        rows.append([
+            str(pair), f"{qps[1]:,.0f}", f"{qps[32]:,.0f}",
+            f"{mean_batches[-1]:.1f}", f"{speedups[-1]:.2f}x",
+        ])
+    speedup = float(np.median(speedups))
     with capsys.disabled():
         print()
         print(
             render_table(
-                ["mode", "QPS", "mean batch"],
-                [
-                    ["batch-1", f"{batch1_qps:,.0f}", "1.0"],
-                    ["dynamic", f"{batched_qps:,.0f}", f"{mean_batch:.1f}"],
-                ],
+                ["pair", "batch-1 QPS", "dynamic QPS", "mean batch", "ratio"],
+                rows,
                 title=(
                     f"n-CNV accelerator: draining a {n}-request backlog — "
-                    f"dynamic batching {speedup:.2f}x batch-1"
+                    f"dynamic batching median {speedup:.2f}x batch-1"
                 ),
             )
         )
-    assert mean_batch > 4.0  # coalescing actually happened
+    assert np.median(mean_batches) > 4.0  # coalescing actually happened
     assert speedup >= BATCHING_BAR
 
 

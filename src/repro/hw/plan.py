@@ -8,10 +8,12 @@ scratch. An :class:`ExecutionPlan` is the software analogue of the
 synthesised bitstream: compiled once per (model, folding config, batch
 geometry), it
 
-* lowers every stage to float32 ``sgemm`` calls over views: the 8-bit
-  conv copies its windows out of one strided view of the quantised
-  input, binary convs run one shifted matmul per kernel cell (no im2col
-  at all), FC stages run one product each,
+* lowers every stage to float32 ``sgemm`` calls over views: a conv
+  copies its windows out of one strided view of its input, a chunk of
+  whole images at a time, and runs one product per chunk, unless its
+  product is too narrow to pay for the copy
+  (:data:`WINDOW_BYTES_PER_CHANNEL`; one shifted matmul per kernel cell
+  then); FC stages run one product each,
 * binds every intermediate to a persistent
   :class:`~repro.nn.arena.BufferArena` view, so steady-state execution
   performs **zero heap allocations** (``out=``-form kernels end to end;
@@ -27,7 +29,8 @@ Thresholding straight into the next operand
 -------------------------------------------
 
 Each thresholded stage ends in one ``np.greater_equal(pooled, thr,
-out=act)`` that writes the next stage's float32 operand: activations
+out=act)`` that writes the next stage's float32 operand, one whole
+image per row against thresholds tiled to the pooled map: activations
 travel as ``b ∈ {0, 1}``. A binary MVTU's bipolar accumulator over
 such an operand is ``W·(2b − 1) = 2·W·b − S``, with ``S = ΣW`` per
 output channel (stride 1 and no padding, so every window sees all of
@@ -88,6 +91,20 @@ __all__ = [
 
 #: Largest magnitude at which float32 still represents every integer.
 _F32_EXACT = 2 ** 24
+
+#: A conv copies its windows (then one sgemm per chunk) only when each
+#: output channel shares at most this many bytes of one image's windows
+#: (``oh·ow·K·4 / R``): the sgemm does R MACs per copied value, and a
+#: narrow one does not pay for the copy. Else it runs shifted matmuls.
+WINDOW_BYTES_PER_CHANNEL = 16 * 1024
+#: Bytes of windows one chunk copies: as many whole images as fit, at
+#: least one, so one window buffer is reused while it is in cache.
+#: Sweep (2-vCPU Xeon, interleaved blocks, sharded batch 16): n-CNV ran
+#: 1.05–1.10× faster with conv1_2 (27.6 KiB per channel) shifted, CNV
+#: 1.08× faster with conv2_2 (3.5 KiB) windowed; CNV's conv1_2 (27.6
+#: KiB) windowed was slower at batch 1, 8 and 32. Chunks of 128 to 384
+#: KiB were level on n-CNV's sharded batch.
+WINDOW_BUDGET = 384 * 1024
 
 
 def plan_key(accelerator, batch_size: int) -> Tuple:
@@ -180,35 +197,26 @@ class _PlannedStage:
     """
 
     __slots__ = (
-        "name", "cycles", "fused", "arena_bytes",
-        "window_src", "window_out",
+        "name", "cycles", "fused", "arena_bytes", "chunks",
         "rows_f32", "w_f32", "conv_views", "gemm_tmp", "acc",
-        "pool_steps", "pmax", "thr", "offsets", "act", "out_map",
+        "pool_steps", "pmax", "thr", "offsets", "act", "act_rows", "out_map",
     )
 
     def __init__(self, name: str) -> None:
+        for slot in self.__slots__:
+            setattr(self, slot, None)
         self.name = name
-        self.cycles = 0
+        self.cycles = self.arena_bytes = 0
         self.fused = False
-        self.arena_bytes = 0
-        self.window_src = None
-        self.window_out = None
-        self.rows_f32 = None
-        self.w_f32 = None
-        self.conv_views = None
-        self.gemm_tmp = None
-        self.acc = None
         self.pool_steps = ()
-        self.pmax = None
-        self.thr = None
-        self.offsets = None
-        self.act = None
-        self.out_map = None
 
     def run(self) -> None:
-        if self.window_src is not None:
-            np.copyto(self.window_out, self.window_src)
-        if self.conv_views is not None:
+        if self.chunks is not None:
+            # Window lowering: one copy and one sgemm per chunk of images.
+            for windows, src, rows, acc in self.chunks:
+                np.copyto(windows, src)
+                np.matmul(rows, self.w_f32, out=acc)
+        elif self.conv_views is not None:
             # Shifted-matmul convolution: stride-1 windows over a
             # channel-fastest map mean each kernel cell contributes one
             # stacked (out_w, C) @ (C, R) product of a *view* — no
@@ -226,10 +234,11 @@ class _PlannedStage:
             return
         # Fused pool + threshold: every channel is a >= channel, so
         # max-pooling the accumulators commutes with thresholding and
-        # the comparison writes the next stage's 0/1 operand directly.
+        # the comparison writes the next stage's 0/1 operand directly,
+        # one whole image per row.
         for a, b, out in self.pool_steps:
             np.maximum(a, b, out=out)
-        np.greater_equal(self.pmax, self.thr, out=self.act)
+        np.greater_equal(self.pmax, self.thr, out=self.act_rows)
 
     def trace_bits(self) -> np.ndarray:
         """This stage's boolean activation map (or final logits), as a
@@ -318,93 +327,84 @@ class ExecutionPlan:
 
         act = self._q_num  # the next stage's operand
         steps: List[_PlannedStage] = []
-        fused = 0
         for stage in self.accelerator.stages:
             st = _PlannedStage(stage.name)
             st.cycles = stage.initiation_interval()
             if stage.kind == "conv":
                 act = self._bind_conv(st, stage, act, n)
-                if stage.pool is not None:
-                    st.fused = True
-                    fused += 1
             else:
                 act = self._bind_fc(st, stage, act, n)
             st.arena_bytes = self.stage_arena_bytes.get(stage.name, 0)
             steps.append(st)
         self._stages = steps
-        self.fused_stages = fused
+        self.fused_stages = sum(st.fused for st in steps)
         self._logits = steps[-1].out_map
 
     # -- stage binding --------------------------------------------------------
     def _bind_conv(self, st: _PlannedStage, stage, act_in, n: int):
-        cfg = stage.mvtu.config
-        swu = stage.swu
-        oh, ow = swu.config.out_hw
-        ch = swu.config.channels
-        kh, kw = swu.config.kernel
-        m = n * oh * ow
+        swu, cfg, name = stage.swu.config, stage.mvtu.config, stage.name
+        (oh, ow), (kh, kw), ch = swu.out_hw, swu.kernel, swu.channels
         rows, cols = cfg.rows, cfg.cols
-        name = stage.name
         ops = stage.mvtu.blas_operands()
-        weights = ops.weights  # (cols, rows), cells × channels
-        if cfg.input_bits == 8:
-            # Window copy + one big sgemm: the 8-bit fan-in is tiny
-            # (K*K*3), so one wide BLAS call beats many skinny ones. A
-            # window row is kh runs of kw*C contiguous pixels, so one
-            # strided view yields every row in im2col order (kh, kw, C).
+        weights = st.w_f32 = ops.weights  # (cols, rows), cells × channels
+        st.acc = acc = self._get(name, "acc", (n, oh, ow, rows), np.float32)
+        per_image = oh * ow * cols * np.dtype(np.float32).itemsize
+        if per_image <= WINDOW_BYTES_PER_CHANNEL * rows:
+            # A window row is kh runs of kw*C contiguous values of the
+            # channel-fastest input, so one strided view yields every
+            # row in the weights' im2col order (kh, kw, C).
             sn, sh, sw, sc = act_in.strides
-            st.window_src = as_strided(
+            src = as_strided(
                 act_in, (n, oh, ow, kh, kw * ch), (sn, sh, sw, sh, sc),
                 writeable=False,
             )
-            win = self._get(name, "windows", (n, oh, ow, kh, kw * ch), np.float32)
-            st.window_out = win
-            st.rows_f32 = win.reshape(m, cols)
-            st.w_f32 = weights
-            st.acc = self._get(name, "acc", (m, rows), np.float32)
-            acc4 = st.acc.reshape(n, oh, ow, rows)
+            per_chunk = min(n, max(1, WINDOW_BUDGET // per_image))
+            win = self._get(
+                name, "windows", (per_chunk, oh, ow, kh, kw * ch), np.float32
+            )
+            st.chunks = []
+            for i in range(0, n, per_chunk):
+                k = min(per_chunk, n - i)
+                st.chunks.append((
+                    win[:k], src[i : i + k],
+                    win[:k].reshape(-1, cols), acc[i : i + k].reshape(-1, rows),
+                ))
         else:
             # Shifted-matmul: one stacked sgemm per kernel cell over a
             # shifted *view* of the previous 0/1 activation map — no
-            # im2col gather. Weight layout is (kh, kw, C) channels
-            # fastest, so cell i's operand is rows [i*C, (i+1)*C).
-            st.acc = self._get(name, "acc", (n, oh, ow, rows), np.float32)
-            acc4 = st.acc
+            # im2col gather. Weight rows are (kh, kw, C), channels
+            # fastest, so cell (i, j)'s operand is cells[i, j].
             st.gemm_tmp = self._get(name, "gemm_tmp", (n, oh, ow, rows), np.float32)
-            views = []
-            for i in range(kh):
-                for j in range(kw):
-                    cell = i * kw + j
-                    views.append((
-                        act_in[:, i : i + oh, j : j + ow, :],
-                        weights[cell * ch : (cell + 1) * ch],
-                    ))
-            st.conv_views = views
-        st.thr = ops.thresholds.astype(np.float32)
-        if stage.pool is not None:
+            cells = weights.reshape(kh, kw, ch, rows)
+            st.conv_views = [
+                (act_in[:, i : i + oh, j : j + ow, :], cells[i, j])
+                for i in range(kh)
+                for j in range(kw)
+            ]
+        st.fused = stage.pool is not None
+        if st.fused:
             out_h, out_w = stage.pool.config.out_hw
-            if st.gemm_tmp is not None:
-                scratch = st.gemm_tmp[:, :out_h]  # free once acc is summed
-            else:
-                scratch = self._get(
-                    name, "pool_rows", (n, out_h, ow, rows), np.float32
-                )
-            pooled = self._get(
-                name, "pool_max", (n, out_h, out_w, rows), np.float32
+            scratch = (  # a shifted conv's gemm_tmp is free once acc is summed
+                st.gemm_tmp[:, :out_h] if st.gemm_tmp is not None
+                else self._get(name, "pool_rows", (n, out_h, ow, rows), np.float32)
             )
-            st.pool_steps, st.pmax = _pool_steps(
-                acc4, stage.pool.config.pool, scratch, pooled
+            pooled = self._get(name, "pool_max", (n, out_h, out_w, rows), np.float32)
+            st.pool_steps, pmax = _pool_steps(
+                acc, stage.pool.config.pool, scratch, pooled
             )
         else:
             out_h, out_w = oh, ow
-            st.pmax = acc4
+            pmax = acc
         st.act = self._get(name, "act", (n, out_h, out_w, rows), np.float32)
+        # Thresholds tiled to the pooled (h, w, R) map: one image per row.
+        st.thr = np.tile(ops.thresholds.astype(np.float32), out_h * out_w)
+        st.pmax = pmax.reshape(n, -1)
+        st.act_rows = st.act.reshape(n, -1)
         return st.act
 
     def _bind_fc(self, st: _PlannedStage, stage, act_in, n: int):
-        cfg = stage.mvtu.config
+        cfg, name = stage.mvtu.config, stage.name
         rows, cols = cfg.rows, cfg.cols
-        name = stage.name
         d = int(np.prod(act_in.shape[1:]))
         if d != cols:
             raise RuntimeError(f"{name}: fan-in mismatch ({d} != {cols})")
@@ -418,7 +418,7 @@ class ExecutionPlan:
             return st.out_map
         st.thr = ops.thresholds.astype(np.float32)
         st.pmax = st.acc
-        st.act = self._get(name, "act", (n, rows), np.float32)
+        st.act = st.act_rows = self._get(name, "act", (n, rows), np.float32)
         return st.act
 
     # -- execution ------------------------------------------------------------

@@ -9,16 +9,16 @@ unbounded growth — the classic way a "6400 FPS" demo falls over at an
 airport gate — is impossible by construction.
 
 Ordering is priority-first (higher ``priority`` wins), FIFO within a
-priority level.
+priority level: one FIFO deque per priority, so admitting, rejecting
+and shedding cost the same however deep the queue is.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import threading
+from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Deque, Dict, List, Optional
 
 from repro.serving.request import (
     InferenceRequest,
@@ -59,8 +59,8 @@ class AdmissionQueue:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = int(capacity)
         self.allow_shedding = bool(allow_shedding)
-        self._heap: List[tuple] = []  # (-priority, seq, request)
-        self._seq = itertools.count()
+        self._levels: Dict[int, Deque[InferenceRequest]] = {}  # non-empty only
+        self._depth = 0
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._closed = False
@@ -69,24 +69,28 @@ class AdmissionQueue:
     def offer(self, request: InferenceRequest) -> Admission:
         """Try to admit ``request``; never blocks.
 
-        Full-queue policy: if shedding is enabled and the lowest-priority
-        queued request ranks strictly below the newcomer, that request is
-        evicted (resolved as SHED) and the newcomer admitted; otherwise
-        the newcomer is rejected with ``QUEUE_FULL``.
+        Full-queue policy: if shedding is enabled and the lowest queued
+        priority ranks strictly below the newcomer, that level's newest
+        request is evicted (resolved as SHED) and the newcomer admitted
+        — equal-priority traffic is never reordered by shedding;
+        otherwise the newcomer is rejected with ``QUEUE_FULL``.
         """
         shed_request = None
         with self._lock:
             if self._closed:
                 return Admission(False, RejectionReason.SHUTTING_DOWN)
-            if len(self._heap) >= self.capacity:
-                victim_idx = self._shed_candidate(request.priority)
-                if victim_idx is None:
+            if self._depth >= self.capacity:
+                lowest = min(self._levels) if self.allow_shedding else None
+                if lowest is None or lowest >= request.priority:
                     return Admission(False, RejectionReason.QUEUE_FULL)
-                shed_request = self._heap.pop(victim_idx)[2]
-                heapq.heapify(self._heap)
-            heapq.heappush(
-                self._heap, (-request.priority, next(self._seq), request)
-            )
+                shed_request = self._levels[lowest].pop()
+                self._drop_if_empty(lowest)
+                self._depth -= 1
+            level = self._levels.get(request.priority)
+            if level is None:
+                level = self._levels[request.priority] = deque()
+            level.append(request)
+            self._depth += 1
             self._not_empty.notify()
         if shed_request is not None:
             shed_request.resolve(
@@ -98,23 +102,11 @@ class AdmissionQueue:
             )
         return Admission(True, shed=shed_request)
 
-    def _shed_candidate(self, incoming_priority: int) -> Optional[int]:
-        """Index of the entry to evict for ``incoming_priority``, if any.
-
-        The victim is the lowest-priority, most-recently-enqueued entry,
-        and only qualifies if it ranks strictly below the newcomer —
-        equal-priority traffic is never reordered by shedding.
-        """
-        if not self.allow_shedding or not self._heap:
-            return None
-        victim_idx = max(
-            range(len(self._heap)),
-            key=lambda i: (self._heap[i][0], self._heap[i][1]),
-        )
-        neg_priority, _, _ = self._heap[victim_idx]
-        if -neg_priority >= incoming_priority:
-            return None
-        return victim_idx
+    def _drop_if_empty(self, priority: int) -> None:
+        """Forget an emptied level, so ``_levels`` holds non-empty ones.
+        Caller holds the lock."""
+        if not self._levels[priority]:
+            del self._levels[priority]
 
     # -- consumer side -------------------------------------------------------
     def pop_many(
@@ -128,14 +120,21 @@ class AdmissionQueue:
         the queue is closed and drained.
         """
         with self._not_empty:
-            if not self._heap and not self._closed:
+            if not self._depth and not self._closed:
                 self._not_empty.wait(timeout)
-            n = min(max_n, len(self._heap))
-            return [heapq.heappop(self._heap)[2] for _ in range(n)]
+            taken: List[InferenceRequest] = []
+            while len(taken) < max_n and self._levels:
+                top = max(self._levels)
+                level = self._levels[top]
+                while level and len(taken) < max_n:
+                    taken.append(level.popleft())
+                self._drop_if_empty(top)
+            self._depth -= len(taken)
+            return taken
 
     def depth(self) -> int:
         with self._lock:
-            return len(self._heap)
+            return self._depth
 
     # -- lifecycle -----------------------------------------------------------
     @property
@@ -151,7 +150,12 @@ class AdmissionQueue:
         """
         with self._lock:
             self._closed = True
-            leftovers = [entry[2] for entry in sorted(self._heap)]
-            self._heap.clear()
+            leftovers = [
+                request
+                for priority in sorted(self._levels, reverse=True)
+                for request in self._levels[priority]
+            ]
+            self._levels.clear()
+            self._depth = 0
             self._not_empty.notify_all()
         return leftovers

@@ -144,6 +144,24 @@ class TestBitExactness:
             pooled = sum(1 for s in acc.stages if s.pool is not None)
             assert plan.fused_stages == pooled > 0, arch
 
+    def test_only_narrow_convs_keep_the_shifted_matmul(self, accelerators):
+        # conv1_2 shares 28·28·9·C·4 B / C = 27.6 KiB of one image's
+        # windows per output channel in every model (C = R); every other
+        # conv at most 5.9 KiB (n-CNV's conv1_1). At batch 7 conv1_1
+        # (95 KiB per image) copies 4 images per chunk, so its last
+        # chunk is ragged.
+        for arch, acc in accelerators.items():
+            plan = ExecutionPlan(acc, 7)
+            want = {s.name: "windows" for s in acc.stages if s.kind == "conv"}
+            want["conv1_2"] = "shifted"
+            lowering = {
+                st.name: "shifted" if st.chunks is None else "windows"
+                for st in plan._stages if st.name in want
+            }
+            assert lowering == want, arch
+            sizes = [len(src) for _, src, _, _ in plan._stages[0].chunks]
+            assert sizes == [4, 3], arch
+
     def test_exact_bound_stays_in_float32_range(self, accelerators):
         for acc in accelerators.values():
             for stage in acc.stages:
@@ -521,10 +539,21 @@ class TestAllocationMeasurement:
 
     @pytest.mark.parametrize("arch", PROTOTYPES)
     def test_steady_state_inference_allocates_nothing(self, arch, seed_batch):
-        acc = build_accelerator(arch)
-        plan, _ = acc.plans.get(seed_batch.shape[0])
-        out = np.empty_like(plan.execute(seed_batch))
-        report = measure_steady_state(
-            lambda: plan.execute(seed_batch, out=out)
+        assert_allocates_nothing(build_accelerator(arch), seed_batch)
+
+    @pytest.mark.parametrize("n", [1, 7])
+    @pytest.mark.parametrize("arch", PROTOTYPES)
+    def test_allocates_nothing_at_one_chunk_and_at_many(self, arch, n):
+        # Batch 1 copies one window chunk per stage; at batch 7 conv1_1
+        # copies two (4 images, then 3) and CNV's conv2_1 seven.
+        images = np.random.default_rng(3).random((n, 32, 32, 3))
+        assert_allocates_nothing(
+            build_accelerator(arch), images.astype(np.float32)
         )
-        assert report.per_call_blocks == 0, report
+
+
+def assert_allocates_nothing(acc, images):
+    plan, _ = acc.plans.get(images.shape[0])
+    out = np.empty_like(plan.execute(images))
+    report = measure_steady_state(lambda: plan.execute(images, out=out))
+    assert report.per_call_blocks == 0, report

@@ -2,7 +2,8 @@
 
 Every registered engine must reproduce the interpreted reference
 datapath exactly — logits for every Table I prototype under both input
-dtypes, and ``return_bits`` traces where the engine supports them —
+dtypes, from batch 1 up, and ``return_bits`` traces where the engine
+supports them —
 both with seeded random batch-norm statistics and with flipped and
 constant channels. The planned engine is also held to it on batches it
 shards over the cores, even and uneven.
@@ -82,14 +83,22 @@ def reference_logits(accelerator, images, return_bits=False):
 
 
 #: (engine, dtype, batch, cores) cases of the logits contract: the seed
-#: batch on every in-process engine, then batches the planned engine
-#: shards — 16 evenly, 17 and 33 unevenly — with the host's core count
-#: pinned to 2 and to 3 so the runner's CPUs do not decide whether the
-#: sharded path runs.
+#: batch on every in-process engine; the planned engine unsharded at
+#: batch 1 and 2 and at 7, whose last window chunk is ragged (conv1_1
+#: copies 4 images per chunk); then batches it shards — 16
+#: evenly, 17 and 33 unevenly — with the host's core count pinned to 2
+#: and to 3 so the runner's CPUs do not decide whether the sharded path
+#: runs.
 LOGIT_CASES = [
     pytest.param(engine, dtype, 4, None, id=f"{engine}-{dtype}")
     for engine in IN_PROCESS
     for dtype in ("f32", "uint8")
+] + [
+    pytest.param(
+        "planned-blas", dtype, n, None, id=f"planned-blas-{dtype}-n{n}"
+    )
+    for dtype in ("f32", "uint8")
+    for n in (1, 2, 7)
 ] + [
     pytest.param(
         "planned-blas", dtype, n, cores,
@@ -158,8 +167,15 @@ def test_engine_matches_interpreted_logits(
 @pytest.mark.parametrize("engine_name", ["planned-blas"])
 @pytest.mark.parametrize("arch", MODELS)
 def test_planned_return_bits_match_interpreted(accelerators, arch, engine_name):
-    acc = accelerators[arch]
-    images = seed_batch("f32")
+    check_return_bits(accelerators[arch], seed_batch("f32"), engine_name)
+
+
+@pytest.mark.parametrize("arch", MODELS)
+def test_planned_return_bits_match_interpreted_at_batch_1(accelerators, arch):
+    check_return_bits(accelerators[arch], seed_batch("f32", 1), "planned-blas")
+
+
+def check_return_bits(acc, images, engine_name):
     golden_logits, golden_bits = reference_logits(acc, images, return_bits=True)
     engine = create_engine(acc, ENGINE_CONFIGS[engine_name])
     logits, bits = engine.run(images, return_bits=True)

@@ -10,6 +10,9 @@ served labels against direct ``predict`` calls on it.
 from __future__ import annotations
 
 import dataclasses
+import heapq
+import itertools
+import random
 import re
 import sys
 import threading
@@ -194,6 +197,64 @@ class TestAdmissionQueue:
     def test_validates_capacity(self):
         with pytest.raises(ValueError, match="capacity"):
             AdmissionQueue(capacity=0)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_heap_queue_on_random_traffic(self, seed):
+        rng = random.Random(seed)
+        capacity = rng.randint(1, 6)
+        shedding = rng.random() < 0.75
+        q = AdmissionQueue(capacity, allow_shedding=shedding)
+        ref = HeapAdmissionQueue(capacity, allow_shedding=shedding)
+        for _ in range(300):
+            if rng.random() < 0.6:
+                r = make_request(priority=rng.randint(0, 3))
+                got, want = q.offer(r), ref.offer(r)
+                assert (got.accepted, got.reason, got.shed) == want
+            else:
+                n = rng.randint(1, 5)
+                assert q.pop_many(n, timeout=0.0) == ref.pop_many(n)
+            assert q.depth() == len(ref.heap)
+        assert q.close() == ref.close()
+        assert q.offer(make_request()).reason is RejectionReason.SHUTTING_DOWN
+        assert q.pop_many(4, 0.01) == []
+
+
+class HeapAdmissionQueue:
+    """Reference semantics of :class:`AdmissionQueue`: the heap queue it
+    replaced, whose shed victim is a scan for the lowest-priority,
+    newest entry. Single-threaded, so no lock and no blocking."""
+
+    def __init__(self, capacity, allow_shedding=True):
+        self.capacity = capacity
+        self.allow_shedding = allow_shedding
+        self.heap = []  # (-priority, seq, request)
+        self.seq = itertools.count()
+
+    def offer(self, request):
+        shed = None
+        if len(self.heap) >= self.capacity:
+            victim = None
+            if self.allow_shedding:
+                victim = max(
+                    range(len(self.heap)), key=lambda i: self.heap[i][:2]
+                )
+                if -self.heap[victim][0] >= request.priority:
+                    victim = None
+            if victim is None:
+                return False, RejectionReason.QUEUE_FULL, None
+            shed = self.heap.pop(victim)[2]
+            heapq.heapify(self.heap)
+        heapq.heappush(self.heap, (-request.priority, next(self.seq), request))
+        return True, None, shed
+
+    def pop_many(self, max_n):
+        n = min(max_n, len(self.heap))
+        return [heapq.heappop(self.heap)[2] for _ in range(n)]
+
+    def close(self):
+        leftovers = [entry[2] for entry in sorted(self.heap)]
+        self.heap.clear()
+        return leftovers
 
 
 # ---------------------------------------------------------------------------
