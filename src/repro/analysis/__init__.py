@@ -8,8 +8,9 @@ Four engines over one structured-diagnostic core
   shape/dtype inference over a :class:`~repro.nn.Sequential` plus the
   BNN/FINN structural rules (BN-before-sign, sign-before-pool,
   threshold-fold legality, PE/SIMD folding divisibility, dead-layer and
-  dtype-narrowing detection). A model that verifies error-free cannot
-  fail structurally in :func:`repro.hw.compiler.compile_model`;
+  dtype-narrowing detection). It is the front end of
+  :func:`repro.hw.compiler.compile_model`, which refuses any model it
+  reports an error for;
 * the **AST lint pass** — per-file stdlib-``ast`` rules for lock
   discipline, global numpy RNG use, in-place ops on views, bare excepts
   and mutable defaults;
@@ -25,56 +26,42 @@ with a justified suppression baseline (:class:`Baseline`,
 ``.repro-lint-baseline``).
 """
 
-from repro.analysis.aliasing import analyze_aliasing
-from repro.analysis.baseline import (
-    BASELINE_FILENAME,
-    Baseline,
-    BaselineEntry,
-    find_baseline,
-)
-from repro.analysis.callgraph import ProjectIndex
-from repro.analysis.concurrency import (
-    LockOrderGraph,
-    analyze_concurrency,
-    build_lock_graph,
-)
-from repro.analysis.diagnostics import (
-    RULES,
-    Diagnostic,
-    DiagnosticReport,
-    Rule,
-    Severity,
-    rules_table,
-)
-from repro.analysis.graph import verify_model
-from repro.analysis.lint import (
-    PASSES,
-    collect_sources,
-    lint_file,
-    lint_paths,
-    prune_baseline,
-)
+import importlib
 
-__all__ = [
-    "BASELINE_FILENAME",
-    "Baseline",
-    "BaselineEntry",
-    "Diagnostic",
-    "DiagnosticReport",
-    "LockOrderGraph",
-    "PASSES",
-    "ProjectIndex",
-    "RULES",
-    "Rule",
-    "Severity",
-    "analyze_aliasing",
-    "analyze_concurrency",
-    "build_lock_graph",
-    "collect_sources",
-    "find_baseline",
-    "lint_file",
-    "lint_paths",
-    "prune_baseline",
-    "rules_table",
-    "verify_model",
-]
+#: Public name -> the submodule defining it. Loaded on first use, so the
+#: compiler's front end (:mod:`.graph`) does not pull in the lint passes.
+_EXPORTS = {
+    "analyze_aliasing": "aliasing",
+    **dict.fromkeys(
+        ["BASELINE_FILENAME", "Baseline", "BaselineEntry", "find_baseline"],
+        "baseline",
+    ),
+    "ProjectIndex": "callgraph",
+    **dict.fromkeys(
+        ["LockOrderGraph", "analyze_concurrency", "build_lock_graph"],
+        "concurrency",
+    ),
+    **dict.fromkeys(
+        ["RULES", "Diagnostic", "DiagnosticReport", "Rule", "Severity",
+         "rules_table"],
+        "diagnostics",
+    ),
+    "verify_model": "graph",
+    **dict.fromkeys(
+        ["PASSES", "collect_sources", "lint_file", "lint_paths",
+         "prune_baseline"],
+        "lint",
+    ),
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

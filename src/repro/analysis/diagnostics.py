@@ -63,8 +63,8 @@ RULES: Dict[str, Rule] = {
              "sign binarisation must be immediately preceded by BatchNorm "
              "so thresholds fold (§III-A)"),
         Rule("MG003", "graph", Severity.ERROR, "sign-before-maxpool",
-             "max-pool must consume binary feature maps so hardware can "
-             "pool with boolean OR (§III-B)"),
+             "max-pool must directly follow a conv block's sign so "
+             "hardware can pool its binary maps with boolean OR (§III-B)"),
         Rule("MG004", "graph", Severity.ERROR, "conv-grammar",
              "conv layers must be followed by BatchNorm -> SignActivation "
              "to be threshold-foldable"),
@@ -91,9 +91,13 @@ RULES: Dict[str, Rule] = {
              "on-chip weight storage exceeds every catalog device's BRAM "
              "envelope (hw/devices.py)"),
         Rule("MG013", "graph", Severity.ERROR, "conv-geometry",
-             "hardware conv supports stride 1 and no padding only"),
+             "hardware conv supports stride 1 and no padding only, and "
+             "its max-pool whole windows only"),
         Rule("MG014", "graph", Severity.ERROR, "alien-layer",
              "layer type is not part of the deployable grammar"),
+        Rule("MG015", "graph", Severity.ERROR, "stray-batchnorm",
+             "batch-norm must sit between a Conv2D/Dense and its "
+             "SignActivation, or it cannot fold into thresholds (§III-A)"),
         # -- AST lint -------------------------------------------------------
         Rule("LK001", "lint", Severity.WARNING, "lock-discipline",
              "attribute written under a lock in one method but accessed "

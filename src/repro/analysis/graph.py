@@ -4,20 +4,24 @@ Symbolically walks a :class:`~repro.nn.sequential.Sequential` — shape
 inference via the container's static hooks, a value-*domain* lattice
 (``pixel8`` → ``real`` → ``binary``) instead of executing forward — and
 checks every structural invariant the paper states and the hardware
-compiler enforces:
+needs:
 
-* batch-norm must immediately precede sign so thresholds fold (§III-A);
-* max-pool must consume binary maps so hardware pools with OR (§III-B);
+* batch-norm must sit between a conv/dense layer and its sign, so
+  thresholds fold (§III-A);
+* max-pool must directly follow a conv block's sign so hardware pools
+  the binary maps with OR (§III-B), and its windows must tile the map;
 * conv/dense blocks must match the threshold-foldable grammar;
 * PE must divide each MVTU's rows and SIMD its fan-in (FINN folding,
-  Table I) — shared with :func:`repro.hw.compiler.folding_violations`,
-  not reimplemented;
+  Table I) — via :func:`repro.hw.compiler.folding_violations`;
 * dead layers (identity on the inferred domain) and silent dtype
   narrowing are reported as warnings, as is a weight footprint
   exceeding every catalog device's BRAM envelope.
 
-A model that passes :func:`verify_model` without errors cannot fail
-structurally in :func:`repro.hw.compiler.compile_model`.
+:func:`repro.hw.compiler.compile_model` runs :func:`verify_model` as its
+front end and raises on the first error, so whatever it compiles is
+verifier-clean by construction. That every verifier-clean model compiles
+is checked by a property test over single-edit mutants
+(``tests/test_analysis_graph.py``).
 """
 
 from __future__ import annotations
@@ -58,6 +62,10 @@ def _layer_list(model: Sequential):
     return [(name, model[name]) for name in model.layer_names]
 
 
+def _kind(layer) -> str:
+    return type(layer).__name__ if layer is not None else "nothing"
+
+
 def verify_model(
     model: Sequential,
     folding: Optional[FoldingConfig] = None,
@@ -66,8 +74,8 @@ def verify_model(
     """Verify ``model`` (and optionally a folding) without executing it.
 
     Returns a :class:`~repro.analysis.diagnostics.DiagnosticReport`;
-    an error-free report guarantees :func:`compile_model` accepts the
-    model structurally.
+    :func:`~repro.hw.compiler.compile_model` accepts the model (with
+    ``folding``) exactly when it holds no error.
     """
     report = DiagnosticReport(target=name)
     layers = _layer_list(model)
@@ -121,14 +129,26 @@ def _check_structure(report, model_name, layers, shapes) -> None:
                     path=model_name, symbol=lname,
                     fix_hint="remove one of the two batch-norm layers",
                 )
+            if not (isinstance(prev, (Conv2D, Dense))
+                    and isinstance(nxt, SignActivation)):
+                report.emit(
+                    "MG015",
+                    f"{lname}: BatchNorm sits between {_kind(prev)} and "
+                    f"{_kind(nxt)}, not between a Conv2D/Dense and its "
+                    f"SignActivation — it cannot fold into thresholds "
+                    f"(§III-A)",
+                    path=model_name, symbol=lname,
+                    fix_hint="keep batch-norm only inside Conv/Dense -> "
+                             "BatchNorm -> SignActivation blocks",
+                )
             domain = _REAL
         elif isinstance(layer, SignActivation):
             if not isinstance(prev, BatchNorm):
                 report.emit(
                     "MG002",
                     f"{lname}: sign binarisation is preceded by "
-                    f"{type(prev).__name__ if prev is not None else 'nothing'}"
-                    f", not BatchNorm — thresholds cannot fold (§III-A)",
+                    f"{_kind(prev)}, not BatchNorm — thresholds cannot "
+                    f"fold (§III-A)",
                     path=model_name, symbol=lname,
                     fix_hint="order each block Conv/Dense -> BatchNorm -> "
                              "SignActivation",
@@ -143,14 +163,27 @@ def _check_structure(report, model_name, layers, shapes) -> None:
                 )
             domain = _BINARY
         elif isinstance(layer, MaxPool2D):
-            if domain != _BINARY:
+            if not isinstance(prev, SignActivation):
                 report.emit(
                     "MG003",
-                    f"{lname}: max-pool consumes a {domain} stream; the "
-                    f"hardware OR-pool needs sign to run first (§III-B)",
+                    f"{lname}: max-pool follows {_kind(prev)} on a "
+                    f"{domain} stream; the hardware OR-pools a conv "
+                    f"block's sign output inside that block (§III-B)",
                     path=model_name, symbol=lname,
-                    fix_hint="move MaxPool2D after the block's "
-                             "SignActivation",
+                    fix_hint="move MaxPool2D directly after the conv "
+                             "block's SignActivation",
+                )
+            if in_shape is not None and len(in_shape) == 3 and any(
+                d % p for d, p in zip(in_shape[:2], layer.pool_size)
+            ):
+                report.emit(
+                    "MG013",
+                    f"{lname}: pool {layer.pool_size} does not tile the "
+                    f"{in_shape[:2]} map; the hardware pool unit takes "
+                    f"whole windows only",
+                    path=model_name, symbol=lname,
+                    fix_hint="choose conv/pool sizes so every pooled "
+                             "map's sides are multiples of the pool size",
                 )
         elif isinstance(layer, Flatten):
             if isinstance(prev, Flatten):
@@ -204,8 +237,7 @@ def _check_conv(report, model_name, lname, layer, layers, i, domain) -> None:
             "MG004",
             f"{lname}: conv must be followed by BatchNorm -> "
             f"SignActivation to be threshold-foldable, found "
-            f"{type(nxt).__name__ if nxt is not None else 'nothing'} -> "
-            f"{type(nxt2).__name__ if nxt2 is not None else 'nothing'}",
+            f"{_kind(nxt)} -> {_kind(nxt2)}",
             path=model_name, symbol=lname,
             fix_hint="order each conv block Conv -> BatchNorm -> "
                      "SignActivation [-> MaxPool2D]",
@@ -249,8 +281,7 @@ def _check_dense(
             report.emit(
                 "MG005",
                 f"{lname}: dense layer with BatchNorm must be followed by "
-                f"SignActivation, found "
-                f"{type(nxt2).__name__ if nxt2 is not None else 'nothing'}",
+                f"SignActivation, found {_kind(nxt2)}",
                 path=model_name, symbol=lname,
                 fix_hint="order each FC block Dense -> BatchNorm -> "
                          "SignActivation",
@@ -283,8 +314,9 @@ def _check_dense(
     else:
         report.emit(
             "MG005",
-            f"{lname}: dense layer is neither thresholded (BatchNorm -> "
-            f"sign) nor the final logits layer",
+            f"{lname}: dense layer is neither thresholded nor final: "
+            f"no BatchNorm -> sign follows it and it is not the logits "
+            f"layer",
             path=model_name, symbol=lname,
             fix_hint="add BatchNorm -> SignActivation after it, or make "
                      "it the last layer",

@@ -6,7 +6,11 @@ stages (SWU + MVTU + optional OR-pool per conv layer; MVTU per FC layer)
 whose datapath is **integer-only** — XNOR/popcount accumulation and
 folded batch-norm thresholds, exactly as §III-A/B describe.
 
-Layer grammar recognised (what :mod:`repro.core.architectures` emits)::
+The deployable grammar and the folding legality rules live in
+:mod:`repro.analysis.graph`: :func:`compile_model` runs
+:func:`~repro.analysis.graph.verify_model` as its front end and refuses
+any model it reports an error for. What is left here is lowering a
+verified model, block by block::
 
     [Conv]   (Binary)Conv2D -> BatchNorm -> SignActivation [-> MaxPool2D]
     [Flat]   Flatten
@@ -19,7 +23,7 @@ everything downstream is 1-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,16 +35,7 @@ from repro.hw.swu import SlidingWindowUnit, SWUConfig
 from repro.hw.thresholding import fold_batchnorm_sign, fold_popcount_domain
 from repro.telemetry.tracing import get_tracer
 from repro.nn.binary_ops import sign
-from repro.nn.layers import (
-    BatchNorm,
-    BinaryConv2D,
-    BinaryDense,
-    Conv2D,
-    Dense,
-    Flatten,
-    MaxPool2D,
-    SignActivation,
-)
+from repro.nn.layers import Conv2D, Dense, MaxPool2D
 from repro.nn.layers.xnor import XnorConv2D, XnorDense
 from repro.nn.sequential import Sequential
 
@@ -132,9 +127,8 @@ def mvtu_geometry(model: Sequential) -> List[MVTUGeometry]:
     """The (rows, cols) geometry of every MVTU ``model`` would compile to.
 
     Purely static — derived from layer declarations and shape inference,
-    no forward pass. Shared by :func:`compile_model` (early folding
-    validation) and the model-graph verifier
-    (:mod:`repro.analysis.graph`), so folding legality has exactly one
+    no forward pass. The model-graph verifier (:mod:`repro.analysis.graph`)
+    checks folding legality against it, so that legality has exactly one
     definition.
     """
     geoms: List[MVTUGeometry] = []
@@ -189,20 +183,13 @@ def folding_violations(
 class FoldingConfig:
     """PE/SIMD dimensioning for every MVTU, in pipeline order (Table I).
 
-    A bare config only knows the vectors; binding it to a model's
-    :func:`mvtu_geometry` (``folding.for_model(model)``) additionally
-    validates divisibility at construction, so an illegal folding fails
-    immediately with a named-MVTU error instead of deep inside
-    :func:`compile_model`. ``geometry`` does not participate in
-    equality: a bound and an unbound config with the same vectors
-    compare equal.
+    Only the vectors are checked here; whether they legally fold a given
+    model is :func:`~repro.analysis.graph.verify_model`'s call (MG007–009),
+    which :func:`compile_model` makes before lowering anything.
     """
 
     pe: Tuple[int, ...]
     simd: Tuple[int, ...]
-    geometry: Optional[Tuple[MVTUGeometry, ...]] = field(
-        default=None, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         if len(self.pe) != len(self.simd):
@@ -212,23 +199,6 @@ class FoldingConfig:
             )
         if any(p <= 0 for p in self.pe) or any(s <= 0 for s in self.simd):
             raise ValueError("PE and SIMD entries must be positive")
-        if self.geometry is not None:
-            object.__setattr__(
-                self,
-                "geometry",
-                tuple(MVTUGeometry(*g) for g in self.geometry),
-            )
-            problems = folding_violations(self.pe, self.simd, self.geometry)
-            if problems:
-                raise ValueError("; ".join(msg for _, _, msg in problems))
-
-    def bound(self, geometry: Sequence[MVTUGeometry]) -> "FoldingConfig":
-        """A copy bound to (and validated against) ``geometry``."""
-        return FoldingConfig(self.pe, self.simd, geometry=tuple(geometry))
-
-    def for_model(self, model: Sequential) -> "FoldingConfig":
-        """A copy validated against ``model``'s MVTU geometry."""
-        return self.bound(mvtu_geometry(model))
 
     def __len__(self) -> int:
         return len(self.pe)
@@ -497,51 +467,44 @@ class FinnAccelerator:
 
 
 def _iter_blocks(model: Sequential):
-    """Split the layer list into compiler blocks, validating the grammar."""
-    layers = [(name, model[name]) for name in model.layer_names]
-    i = 0
-    while i < len(layers):
-        name, layer = layers[i]
-        if isinstance(layer, Conv2D):  # includes BinaryConv2D
-            if i + 2 >= len(layers) or not (
-                isinstance(layers[i + 1][1], BatchNorm)
-                and isinstance(layers[i + 2][1], SignActivation)
-            ):
-                raise ValueError(
-                    f"conv layer {name!r} must be followed by "
-                    "BatchNorm -> SignActivation"
-                )
-            pool = None
-            consumed = 3
-            if i + 3 < len(layers) and isinstance(layers[i + 3][1], MaxPool2D):
-                pool = layers[i + 3][1]
-                consumed = 4
-            yield ("conv", name, layer, layers[i + 1][1], pool)
-            i += consumed
-        elif isinstance(layer, Flatten):
-            yield ("flatten", name, layer, None, None)
-            i += 1
-        elif isinstance(layer, Dense):  # includes BinaryDense
-            if i + 2 < len(layers) and isinstance(layers[i + 1][1], BatchNorm):
-                if not isinstance(layers[i + 2][1], SignActivation):
-                    raise ValueError(
-                        f"dense layer {name!r} with BatchNorm must be "
-                        "followed by SignActivation"
-                    )
-                yield ("fc", name, layer, layers[i + 1][1], None)
-                i += 3
-            elif i == len(layers) - 1:
-                yield ("logits", name, layer, None, None)
-                i += 1
-            else:
-                raise ValueError(
-                    f"dense layer {name!r} is neither thresholded nor final"
-                )
-        else:
-            raise ValueError(
-                f"layer {name!r} ({type(layer).__name__}) is not part of the "
-                "deployable grammar"
+    """Split a verified model into ``(name, layer, bn, pool)``, one per MVTU.
+
+    ``bn`` is ``None`` for the logits layer and ``pool`` for an unpooled
+    stage; sign and flatten layers hold no state of their own.
+    """
+    names = model.layer_names
+    layers = [model[name] for name in names]
+    for i, layer in enumerate(layers):
+        if isinstance(layer, (Conv2D, Dense)):
+            bn = layers[i + 1] if i + 1 < len(layers) else None
+            pool = layers[i + 3] if i + 3 < len(layers) else None
+            yield names[i], layer, bn, (
+                pool if isinstance(pool, MaxPool2D) else None
             )
+
+
+def _fold_thresholds(layer, bn, cols: int, input_bits: int):
+    """Fold ``bn -> sign`` after ``layer`` into integer thresholds
+    (§III-A); ``None`` for the logits layer."""
+    if bn is None:
+        return None
+    scale, shift = bn.fused_scale_shift()
+    if isinstance(layer, (XnorConv2D, XnorDense)):
+        # XNOR-Net per-filter scales are strictly positive, so
+        # BN(alpha * acc) folds by scaling the BN slope — the thresholds
+        # absorb the scales for free (§II-B trade-off discussion; see
+        # repro.nn.layers.xnor).
+        scale = scale * layer.output_scales()
+    if input_bits == 1:
+        return fold_popcount_domain(scale, shift, fan_in=cols)
+    acc_bound = INPUT_SCALE * cols
+    return fold_batchnorm_sign(
+        scale,
+        shift,
+        acc_min=-acc_bound,
+        acc_max=acc_bound,
+        acc_to_real=1.0 / INPUT_SCALE,
+    )
 
 
 def compile_model(
@@ -554,163 +517,98 @@ def compile_model(
     The model must be in inference mode with meaningful batch-norm running
     statistics (i.e. trained); thresholds are folded from those statistics
     as in §III-A. ``folding`` supplies (PE, SIMD) per MVTU in order.
+
+    :func:`~repro.analysis.graph.verify_model` is the front end: if it
+    reports an error for the model or the folding, this raises
+    ``ValueError`` with the first error's rule id, message and fix hint.
     """
-    if model.input_shape is None:
-        raise ValueError("model must be built with input_shape")
-    blocks = list(_iter_blocks(model))
-    # Early, named validation: arity and PE/SIMD divisibility fail here
-    # (at FoldingConfig construction) rather than deep inside stage build.
-    folding = folding.for_model(model)
+    from repro.analysis.graph import verify_model
 
+    errors = verify_model(model, folding, name).errors
+    if errors:
+        first = errors[0]
+        hint = f" (hint: {first.fix_hint})" if first.fix_hint else ""
+        raise ValueError(f"{first.rule_id}: {first.message}{hint}")
+
+    in_shapes = {
+        lname: in_shape
+        for lname, _, in_shape, _, _ in model.iter_shape_inference()
+    }
     stages: List[HardwareStage] = []
-    shape = tuple(model.input_shape)
-    mvtu_idx = 0
-    first_conv = True
-    num_classes = None
-
-    for kind, lname, layer, bn, pool in blocks:
-        if kind == "flatten":
-            size = int(np.prod(shape))
-            shape = (size,)
-            continue
-        pe = folding.pe[mvtu_idx]
-        simd = folding.simd[mvtu_idx]
-        mvtu_idx += 1
-
-        if kind == "conv":
-            h, w, c = shape
+    for (lname, layer, bn, pool), pe, simd in zip(
+        _iter_blocks(model), folding.pe, folding.simd
+    ):
+        in_shape = in_shapes[lname]
+        is_conv = isinstance(layer, Conv2D)
+        if is_conv:
+            h, w, c = in_shape
             kh, kw = layer.kernel_size
-            if layer.stride != (1, 1) or layer.padding != (0, 0):
-                raise ValueError(
-                    f"{lname}: hardware conv supports stride 1, no padding"
-                )
-            rows = layer.out_channels
-            cols = kh * kw * c
+            rows, cols = layer.out_channels, kh * kw * c
             w_bin = sign(layer.weight.data).reshape(cols, rows).T
-            input_bits = 8 if first_conv else 1
-            scale, shift = bn.fused_scale_shift()
-            if isinstance(layer, XnorConv2D):
-                # XNOR-Net per-filter scales are strictly positive, so
-                # BN(alpha * acc) folds by scaling the BN slope — the
-                # thresholds absorb the scales for free (§II-B trade-off
-                # discussion; see repro.nn.layers.xnor).
-                scale = scale * layer.output_scales()
-            if input_bits == 8:
-                acc_bound = INPUT_SCALE * cols
-                spec = fold_batchnorm_sign(
-                    scale,
-                    shift,
-                    acc_min=-acc_bound,
-                    acc_max=acc_bound,
-                    acc_to_real=1.0 / INPUT_SCALE,
-                )
-            else:
-                spec = fold_popcount_domain(scale, shift, fan_in=cols)
-            cfg = MVTUConfig(
-                name=lname,
-                rows=rows,
-                cols=cols,
-                pe=pe,
-                simd=simd,
-                input_bits=input_bits,
-            )
-            swu = SlidingWindowUnit(
-                SWUConfig(
-                    name=f"{lname}.swu",
-                    in_hw=(h, w),
-                    channels=c,
-                    kernel=(kh, kw),
-                    stride=(1, 1),
-                    simd=simd,
-                )
-            )
-            oh, ow = swu.config.out_hw
-            out_shape = (oh, ow, rows)
-            pool_unit = None
-            if pool is not None:
-                pool_unit = MaxPoolUnit(
-                    MaxPoolUnitConfig(
-                        name=f"{lname}.pool",
-                        in_hw=(oh, ow),
-                        channels=rows,
-                        pool=pool.pool_size,
-                    )
-                )
-                out_shape = pool_unit.config.out_hw + (rows,)
-            stages.append(
-                HardwareStage(
-                    name=lname,
-                    kind="conv",
-                    mvtu=MVTU(cfg, w_bin, spec),
-                    vectors_per_image=oh * ow,
-                    swu=swu,
-                    pool=pool_unit,
-                    in_shape=shape,
-                    out_shape=out_shape,
-                )
-            )
-            shape = out_shape
-            first_conv = False
-        else:  # fc or logits
-            if len(shape) != 1:
-                raise ValueError(
-                    f"{lname}: dense stage reached with non-flat shape {shape} "
-                    "(missing Flatten?)"
-                )
-            if not isinstance(layer, BinaryDense):
-                raise ValueError(
-                    f"{lname}: hardware FC layers must be BinaryDense "
-                    f"(got {type(layer).__name__})"
-                )
-            rows = layer.out_features
-            cols = layer.in_features
-            if cols != shape[0]:
-                raise ValueError(
-                    f"{lname}: fan-in {cols} does not match incoming {shape[0]}"
-                )
+        else:  # thresholded fc or the logits layer
+            rows, cols = layer.out_features, layer.in_features
             w_bin = sign(layer.weight.data).T  # (out, in)
-            if kind == "fc":
-                scale, shift = bn.fused_scale_shift()
-                if isinstance(layer, XnorDense):
-                    scale = scale * layer.output_scales()
-                spec = fold_popcount_domain(scale, shift, fan_in=cols)
-                has_threshold = True
-            else:
-                if isinstance(layer, XnorDense):
-                    raise ValueError(
-                        f"{lname}: XNOR-Net scales on the logits layer would "
-                        "need real multipliers in hardware; use BinaryDense "
-                        "for the final layer"
-                    )
-                spec = None
-                has_threshold = False
-                num_classes = rows
-            cfg = MVTUConfig(
-                name=lname,
-                rows=rows,
-                cols=cols,
-                pe=pe,
-                simd=simd,
-                input_bits=1,
-                has_threshold=has_threshold,
-            )
+        input_bits = 8 if is_conv and not stages else 1
+        cfg = MVTUConfig(
+            name=lname,
+            rows=rows,
+            cols=cols,
+            pe=pe,
+            simd=simd,
+            input_bits=input_bits,
+            has_threshold=bn is not None,
+        )
+        mvtu = MVTU(cfg, w_bin, _fold_thresholds(layer, bn, cols, input_bits))
+        if not is_conv:
             stages.append(
                 HardwareStage(
                     name=lname,
                     kind="fc",
-                    mvtu=MVTU(cfg, w_bin, spec),
+                    mvtu=mvtu,
                     vectors_per_image=1,
-                    in_shape=shape,
+                    in_shape=in_shape,
                     out_shape=(rows,),
                 )
             )
-            shape = (rows,)
+            continue
+        swu = SlidingWindowUnit(
+            SWUConfig(
+                name=f"{lname}.swu",
+                in_hw=(h, w),
+                channels=c,
+                kernel=(kh, kw),
+                stride=(1, 1),
+                simd=simd,
+            )
+        )
+        oh, ow = out_hw = swu.config.out_hw
+        pool_unit = None
+        if pool is not None:
+            pool_unit = MaxPoolUnit(
+                MaxPoolUnitConfig(
+                    name=f"{lname}.pool",
+                    in_hw=(oh, ow),
+                    channels=rows,
+                    pool=pool.pool_size,
+                )
+            )
+            out_hw = pool_unit.config.out_hw
+        stages.append(
+            HardwareStage(
+                name=lname,
+                kind="conv",
+                mvtu=mvtu,
+                vectors_per_image=oh * ow,
+                swu=swu,
+                pool=pool_unit,
+                in_shape=in_shape,
+                out_shape=out_hw + (rows,),
+            )
+        )
 
-    if num_classes is None:
-        raise ValueError("model has no final logits layer")
     return FinnAccelerator(
         name=name,
         stages=stages,
         input_shape=tuple(model.input_shape),
-        num_classes=num_classes,
+        num_classes=stages[-1].mvtu.config.rows,
     )

@@ -18,7 +18,12 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.hw.compiler import FinnAccelerator, FoldingConfig, compile_model
+from repro.hw.compiler import (
+    FinnAccelerator,
+    FoldingConfig,
+    compile_model,
+    mvtu_geometry,
+)
 from repro.hw.devices import Device
 from repro.hw.pipeline import analyze_pipeline
 from repro.hw.resources import ResourceEstimate, estimate_resources
@@ -120,9 +125,7 @@ def balance_folding(
 
 def _unit_folding(model: Sequential) -> FoldingConfig:
     """PE=SIMD=1 folding (always legal), used for probing layer shapes."""
-    from repro.hw.compiler import _iter_blocks
-
-    n = sum(1 for b in _iter_blocks(model) if b[0] in ("conv", "fc", "logits"))
+    n = len(mvtu_geometry(model))
     return FoldingConfig(pe=(1,) * n, simd=(1,) * n)
 
 

@@ -16,8 +16,10 @@ geometry), it
   then); FC stages run one product each,
 * binds every intermediate to a persistent
   :class:`~repro.nn.arena.BufferArena` view, so steady-state execution
-  performs **zero heap allocations** (``out=``-form kernels end to end;
-  verified by :func:`measure_steady_state` in a tier-1 test), and
+  keeps no heap allocation across calls and frees within each call at
+  most one numpy iterator buffer of temporaries (``out=``-form kernels
+  end to end; both checked by :func:`measure_steady_state` in a tier-1
+  test), and
 * **fuses** each MVTU→threshold→maxpool chain into one super-stage:
   every channel is compiled to a ``>=`` comparison (below), and
   OR-pooling thresholded bits commutes with it (``OR(acc_i >= t) ==
@@ -256,7 +258,8 @@ class ExecutionPlan:
     :class:`PlanCache` do it); run many times via :meth:`execute`. The
     plan owns (or is bound to) a :class:`~repro.nn.arena.BufferArena`
     holding every intermediate; with ``out=`` supplied, steady-state
-    :meth:`execute` performs zero heap allocations. Accelerators that
+    :meth:`execute` leaves no heap allocation behind and its per-call
+    temporaries stay within one numpy iterator buffer. Accelerators that
     :func:`plan_unsupported_reason` rejects raise ``ValueError``.
     """
 
@@ -611,6 +614,9 @@ class AllocationReport:
     when running ``extra_iters`` *more* iterations. A function that
     allocates per call grows linearly; constant residue (CPython
     freelist repopulation, tracemalloc's own bookkeeping) does not.
+    ``peak_transient_bytes`` is the largest rise of traced memory above
+    its level at entry during any one measured call: temporaries freed
+    before the call returns, which the windows cannot see.
     """
 
     iters: int
@@ -619,6 +625,7 @@ class AllocationReport:
     net_bytes: int
     growth_blocks: int
     growth_bytes: int
+    peak_transient_bytes: int
 
     @property
     def per_call_blocks(self) -> int:
@@ -636,7 +643,8 @@ def measure_steady_state(fn, iters: int = 10, warmup: int = 6) -> AllocationRepo
     CPython's object freelists, so the post-GC calls repopulate them and
     the measured window starts from a true steady state. The report
     compares two windows of different lengths: per-call leaks grow with
-    the window, constant residue does not.
+    the window, constant residue does not. Three more single calls, each
+    after ``tracemalloc.reset_peak()``, give the per-call transient.
     """
     for _ in range(warmup):
         fn()
@@ -655,6 +663,13 @@ def measure_steady_state(fn, iters: int = 10, warmup: int = 6) -> AllocationRepo
         for _ in range(extra):
             fn()
         end = tracemalloc.take_snapshot()
+        transient = 0
+        for _ in range(3):
+            tracemalloc.reset_peak()
+            entry = tracemalloc.get_traced_memory()[0]
+            fn()
+            peak = tracemalloc.get_traced_memory()[1]
+            transient = max(transient, peak - entry)
     finally:
         tracemalloc.stop()
     filters = [
@@ -680,4 +695,5 @@ def measure_steady_state(fn, iters: int = 10, warmup: int = 6) -> AllocationRepo
         net_bytes=bytes_mid,
         growth_blocks=blocks_end - blocks_mid,
         growth_bytes=bytes_end - bytes_mid,
+        peak_transient_bytes=transient,
     )

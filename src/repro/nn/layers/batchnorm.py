@@ -67,6 +67,14 @@ class BatchNorm(Module):
                 f"shape {x.shape}"
             )
 
+    def output_shape(self, input_shape):
+        if len(input_shape) not in (1, 3) or input_shape[-1] != self.num_features:
+            raise ValueError(
+                f"BatchNorm({self.num_features}) got incompatible input "
+                f"shape {tuple(input_shape)}"
+            )
+        return tuple(input_shape)
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._check(x)
         axes = tuple(range(x.ndim - 1))

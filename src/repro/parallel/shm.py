@@ -7,7 +7,8 @@ Two pieces of POSIX shared memory make the pool's hot path zero-copy:
   ``multiprocessing.shared_memory`` segment. Each worker binds its
   :class:`~repro.hw.plan.PlanCache` to one, so every planned
   intermediate lives in memory the parent could map (and so the
-  worker's steady state allocates nothing: the segment is mapped once).
+  worker's steady state keeps no allocation: the segment is mapped
+  once).
 * :class:`ShmRing` — a ring of fixed-stride slots in a second segment.
   Each slot has an input region (sized for the largest bucket at the
   worst-case element width) and an int64 output region for logits. The

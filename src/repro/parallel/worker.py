@@ -17,7 +17,8 @@ batch, iters)``
     Control plane: plan-cache counters + arena occupancy, the worker's
     span journal (tagged by worker id on the parent side), and an
     in-worker :func:`~repro.hw.plan.measure_steady_state` run — the
-    zero-allocation gate executed where it actually matters.
+    allocation gate (no growth across calls, per-call temporaries)
+    executed where it actually matters.
 ``("stop",)``
     Clean exit (views dropped, segments detached).
 
@@ -129,6 +130,7 @@ def worker_main(
                     "per_call_blocks": report.per_call_blocks,
                     "net_blocks": report.net_blocks,
                     "growth_blocks": report.growth_blocks,
+                    "peak_transient_bytes": report.peak_transient_bytes,
                 },
             ))
         except Exception as exc:  # noqa: BLE001 - reported

@@ -20,7 +20,22 @@ from repro.nn.layers import (
 )
 from repro.nn.sequential import Sequential
 
-__all__ = ["make_tiny_bnn", "randomize_bn_stats", "grid_images"]
+__all__ = [
+    "make_tiny_bnn",
+    "randomize_bn_stats",
+    "grid_images",
+    "transient_budget_bytes",
+]
+
+
+def transient_budget_bytes() -> int:
+    """Per-call temporaries a steady-state plan execute may allocate.
+
+    One numpy iterator (casting) buffer of float64 elements plus 4 KiB
+    of slack for small Python objects; checked against
+    :attr:`repro.hw.plan.AllocationReport.peak_transient_bytes`.
+    """
+    return np.getbufsize() * 8 + 4096
 
 
 def make_tiny_bnn(

@@ -3,15 +3,25 @@
 Every graph rule id gets one minimal failing fixture and one passing
 fixture; the soundness demo mutates a valid CNV graph three ways and
 checks each mutation is flagged with the correct rule id while the
-pristine zoo models verify clean.
+pristine zoo models verify clean. The grammar property draws single-edit
+mutants of deployable models and checks that the verifier and
+``compile_model`` agree on every one.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import Severity, verify_model
-from repro.core.architectures import build_cnv, table1_folding
+from repro.core.architectures import (
+    build_architecture,
+    build_cnv,
+    table1_folding,
+)
 from repro.core.zoo import verify_zoo
 from repro.hw.compiler import (
     FoldingConfig,
@@ -309,35 +319,14 @@ class TestPerRuleFailures:
         assert "MG014" in rule_ids(model)
 
 
-# -- folding construction (satellite: fail at construction, named MVTU) -------
+# -- folding legality, checked by the verifier on the compile path -----------
 class TestBoundFoldingConfig:
-    def test_bound_construction_rejects_bad_pe(self):
-        geometry = (MVTUGeometry("conv1", "conv", 8, 27),)
-        with pytest.raises(ValueError, match=r"conv1: PE=3 does not divide"):
-            FoldingConfig(pe=(3,), simd=(1,), geometry=geometry)
-
-    def test_bound_construction_rejects_bad_simd(self):
-        geometry = (MVTUGeometry("fc1", "fc", 8, 27),)
-        with pytest.raises(ValueError, match=r"fc1: SIMD=4 does not divide"):
-            FoldingConfig(pe=(1,), simd=(4,), geometry=geometry)
-
-    def test_for_model_names_the_offending_mvtu(self):
-        with pytest.raises(ValueError, match=r"conv1: PE=3"):
-            FoldingConfig(pe=(3, 1, 1, 1), simd=(1, 1, 1, 1)).for_model(
-                make_tiny_bnn()
-            )
-
     def test_compile_model_fails_early_with_named_mvtu(self):
         with pytest.raises(ValueError, match=r"conv2: PE=5"):
             compile_model(
                 make_tiny_bnn(),
                 FoldingConfig(pe=(1, 5, 1, 1), simd=(1, 1, 1, 1)),
             )
-
-    def test_bound_and_unbound_compare_equal(self):
-        model = make_tiny_bnn()
-        unbound = FoldingConfig(pe=(1, 1, 1, 1), simd=(1, 1, 1, 1))
-        assert unbound.for_model(model) == unbound
 
     def test_folding_violations_empty_for_legal(self):
         geometry = mvtu_geometry(make_tiny_bnn())
@@ -349,6 +338,101 @@ class TestBoundFoldingConfig:
         assert geoms[0] == MVTUGeometry("conv1_1", "conv", 64, 27)
         folding = table1_folding("cnv")
         assert len(geoms) == len(folding)
+
+
+# -- one grammar: verifier-clean <=> compiles ---------------------------------
+@lru_cache(maxsize=None)
+def _base_model(name):
+    return make_tiny_bnn() if name == "tiny" else build_architecture(name, rng=0)
+
+
+_INSERTS = {
+    "BatchNorm": lambda shape: BatchNorm(shape[-1]),
+    "SignActivation": lambda shape: SignActivation(),
+    "Flatten": lambda shape: Flatten(),
+    "MaxPool2D": lambda shape: MaxPool2D(2),
+}
+
+
+@st.composite
+def single_edit_mutants(draw):
+    """A deployable model with one layer deleted, one layer inserted, or
+    two neighbours swapped. An inserted BatchNorm matches the channel
+    count reaching it, so only its position can be wrong."""
+    base = draw(st.sampled_from(["tiny", "u-cnv"]))
+    model = _base_model(base)
+    entries = [(name, model[name]) for name in model.layer_names]
+    shapes = [model.input_shape] + [out for _, out in model.shapes()]
+    edit = draw(st.sampled_from(["delete", "insert", "swap"]))
+    if edit == "delete":
+        i = draw(st.integers(0, len(entries) - 1))
+        label = f"{base}: delete {entries.pop(i)[0]}"
+    elif edit == "swap":
+        i = draw(st.integers(0, len(entries) - 2))
+        entries[i], entries[i + 1] = entries[i + 1], entries[i]
+        label = f"{base}: swap {entries[i + 1][0]} and {entries[i][0]}"
+    else:
+        i = draw(st.integers(0, len(entries)))
+        kind = draw(st.sampled_from(sorted(_INSERTS)))
+        entries.insert(i, ("inserted", _INSERTS[kind](shapes[i])))
+        label = f"{base}: insert {kind} at {i}"
+    return label, Sequential(entries, input_shape=model.input_shape)
+
+
+class TestOneGrammar:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(single_edit_mutants())
+    def test_verifier_clean_iff_compiles(self, mutant):
+        label, model = mutant
+        n = len(mvtu_geometry(model))
+        folding = FoldingConfig(pe=(1,) * n, simd=(1,) * n)
+        errors = verify_model(model, folding).errors
+        if not errors:
+            compile_model(model, folding)  # must not raise
+            return
+        with pytest.raises(ValueError) as info:
+            compile_model(model, folding)
+        assert str(info.value).startswith(errors[0].rule_id), (
+            f"{label}: compile error {info.value!s} does not name the "
+            f"verifier's first error {errors[0].rule_id}"
+        )
+
+    @pytest.mark.parametrize("position", [0, 3, 7, 8, 11])
+    def test_stray_batchnorm_is_an_error(self, position):
+        model = make_tiny_bnn()
+        entries = [(name, model[name]) for name in model.layer_names]
+        shapes = [model.input_shape] + [out for _, out in model.shapes()]
+        entries.insert(position, ("stray", BatchNorm(shapes[position][-1])))
+        mutant = Sequential(entries, input_shape=model.input_shape)
+        assert "MG015" in rule_ids(mutant, UNIT_FOLD)
+        with pytest.raises(ValueError, match="MG015"):
+            compile_model(mutant, UNIT_FOLD)
+
+    @pytest.mark.parametrize(
+        "rule, block, input_hw",
+        [
+            # a second pool: the hardware has one OR-pool per conv block
+            ("MG003", [BatchNorm(8), SignActivation(), MaxPool2D(2),
+                       MaxPool2D(2)], 10),
+            # a 5x5 map: the pool unit takes whole windows only
+            ("MG013", [BatchNorm(8), SignActivation(), MaxPool2D(2)], 7),
+            # a batch-norm one channel short of the conv it folds into
+            ("MG001", [BatchNorm(7), SignActivation()], 4),
+        ],
+    )
+    def test_compiler_rejections_are_verifier_errors(
+        self, rule, block, input_hw
+    ):
+        # Each stack maps the conv's 8 channels to 2x2 before the fc.
+        layers = [BinaryConv2D(3, 8, kernel_size=3, rng=1), *block,
+                  Flatten(), BinaryDense(8 * 2 * 2, 4)]
+        model = Sequential(
+            [(f"layer{i}", layer) for i, layer in enumerate(layers)],
+            input_shape=(input_hw, input_hw, 3),
+        )
+        assert rule_ids(model) == {rule}
+        with pytest.raises(ValueError, match=rule):
+            compile_model(model, FoldingConfig(pe=(1, 1), simd=(1, 1)))
 
 
 # -- static shape hooks --------------------------------------------------------

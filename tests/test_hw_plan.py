@@ -48,7 +48,12 @@ from repro.nn.layers import (
 )
 from repro.nn.sequential import Sequential
 from repro.runtime import ExecutionConfig
-from repro.testing import grid_images, make_tiny_bnn, randomize_bn_stats
+from repro.testing import (
+    grid_images,
+    make_tiny_bnn,
+    randomize_bn_stats,
+    transient_budget_bytes,
+)
 
 REFERENCE = ExecutionConfig(use_plan=False)
 
@@ -553,7 +558,10 @@ class TestAllocationMeasurement:
 
 
 def assert_allocates_nothing(acc, images):
+    """No heap growth across calls, and no call's temporaries beyond one
+    numpy iterator buffer."""
     plan, _ = acc.plans.get(images.shape[0])
     out = np.empty_like(plan.execute(images))
     report = measure_steady_state(lambda: plan.execute(images, out=out))
     assert report.per_call_blocks == 0, report
+    assert report.peak_transient_bytes <= transient_budget_bytes(), report

@@ -51,7 +51,11 @@ from repro.serving import (
     ServingConfig,
 )
 from repro.runtime import ExecutionConfig
-from repro.testing import make_tiny_bnn, randomize_bn_stats
+from repro.testing import (
+    make_tiny_bnn,
+    randomize_bn_stats,
+    transient_budget_bytes,
+)
 
 REFERENCE = ExecutionConfig(use_plan=False)
 
@@ -399,6 +403,10 @@ class TestPoolObservability:
             assert report.get("error") is None, report
             assert report["per_call_blocks"] == 0, (
                 f"worker {wid} allocates in steady state: {report}"
+            )
+            transient = report["peak_transient_bytes"]
+            assert transient <= transient_budget_bytes(), (
+                f"worker {wid} allocates per-call temporaries: {report}"
             )
 
 
